@@ -14,11 +14,15 @@
 //! scaling exponent; the CSR path must stay sub-quadratic (ci.sh enforces
 //! exponent < 1.5 on the committed artifact, where the dense path is ≥ 2).
 //!
-//! Because `D2_THREADS` / `D2_SPARSE_THRESHOLD` are read once per process,
-//! the dense↔sparse equivalence matrix re-runs this binary as child
-//! processes (`D2_GS_CHILD_OUT` names the output file): one forecast per
-//! (threads ∈ {1,2,8}) × (threshold ∈ {dense, sparse}) cell, all six byte
-//! files compared for exact equality.
+//! Because `D2_THREADS` is read once per process, the dense↔sparse
+//! equivalence matrix re-runs this binary as child processes
+//! (`graph_scale --child <dense|csr> <out-file>`): one forecast per
+//! (threads ∈ {1,2,8}) × (path ∈ {dense, csr}) cell, all six byte files
+//! compared for exact equality. Both paths are built through the public
+//! constructors from the same seed: `D2stgnn::new` on a 32-node
+//! `TrafficNetwork` whose transitions stay under the CSR dispatch
+//! threshold, and `D2stgnn::new_sparse` on `SparseNetwork::from_network` of
+//! the same network.
 //!
 //! Writes `target/experiments/BENCH_graph_scale.json` (schema
 //! `d2stgnn-bench-v1`). `--fast` shrinks sizes for the CI smoke.
@@ -27,8 +31,10 @@ use std::process::Command;
 use std::time::Instant;
 
 use d2stgnn_bench::write_bench_artifact;
+use d2stgnn_core::graphs::{GraphContext, MaskedPower, Transitions};
 use d2stgnn_core::{D2stgnn, D2stgnnConfig, TrafficModel};
 use d2stgnn_data::{simulate, simulate_city, Batch, CityConfig, SimulatorConfig, StandardScaler};
+use d2stgnn_graph::SparseNetwork;
 use d2stgnn_tensor::losses::masked_mae_loss;
 use d2stgnn_tensor::nn::Module;
 use d2stgnn_tensor::optim::{clip_grad_norm, Adam, Optimizer};
@@ -36,10 +42,6 @@ use d2stgnn_tensor::{no_grad, pool, Array, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-
-/// Child-mode trigger: when set, write the equivalence forecast bytes to the
-/// named file and exit.
-const CHILD_OUT_ENV: &str = "D2_GS_CHILD_OUT";
 
 /// Input/forecast window length used throughout.
 const TH: usize = 12;
@@ -73,9 +75,9 @@ struct Equivalence {
     nodes: usize,
     /// `D2_THREADS` values covered.
     thread_set: Vec<usize>,
-    /// `D2_SPARSE_THRESHOLD` values covered (2.0 forces dense, 0.0 sparse).
-    thresholds: Vec<String>,
-    /// Child runs executed (threads × thresholds).
+    /// Transition representations covered.
+    paths: Vec<String>,
+    /// Child runs executed (threads × paths).
     runs: usize,
     /// All forecasts byte-identical across every cell.
     identical: bool,
@@ -222,10 +224,10 @@ fn log_log_slope(points: &[(f64, f64)]) -> f64 {
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
 }
 
-/// Child entry point: build the small equivalence model under this
-/// process's inherited `D2_THREADS` / `D2_SPARSE_THRESHOLD` environment,
+/// Child entry point: build the small equivalence model on the `cell`
+/// path (`dense` or `csr`) under this process's inherited `D2_THREADS`,
 /// forecast two windows, and write the raw f32 bytes.
-fn run_child(out_path: &str) {
+fn run_child(cell: &str, out_path: &str) {
     let mut sim = SimulatorConfig::tiny();
     sim.num_nodes = 32;
     sim.knn = 4;
@@ -237,9 +239,23 @@ fn run_child(out_path: &str) {
     cfg.emb_dim = 8;
     cfg.layers = 2;
     let mut rng = StdRng::seed_from_u64(5);
-    // `D2stgnn::new` → `GraphContext::new` picks dense or CSR transitions
-    // from D2_SPARSE_THRESHOLD; both contexts hold identical values.
-    let model = D2stgnn::new(cfg, &data.network, &mut rng);
+    let model = match cell {
+        "dense" => {
+            // The compare is only dense-vs-CSR while this network stays
+            // under the dispatch threshold.
+            let ctx = GraphContext::new(&data.network, Some(cfg.ks));
+            let Transitions::Static { p_f, .. } = ctx.static_transitions() else {
+                unreachable!("a context's static transitions are static");
+            };
+            assert!(
+                p_f.iter().all(|p| matches!(p, MaskedPower::Dense(_))),
+                "the dense cell's network crossed the CSR dispatch threshold"
+            );
+            D2stgnn::new(cfg, &data.network, &mut rng)
+        }
+        "csr" => D2stgnn::new_sparse(cfg, &SparseNetwork::from_network(&data.network), &mut rng),
+        other => panic!("unknown equivalence cell `{other}` (expected dense or csr)"),
+    };
     let batch = make_batch(&data.values, &scaler, sim.steps_per_day, &[0, 7]);
     let out = no_grad(|| model.forward(&batch, false, &mut rng));
     let mut bytes = Vec::with_capacity(out.value().data().len() * 4);
@@ -248,48 +264,45 @@ fn run_child(out_path: &str) {
     }
     std::fs::write(out_path, bytes).expect("child write");
     eprintln!(
-        "[graph_scale]   child threads={} threshold={} done",
-        pool::threads(),
-        std::env::var("D2_SPARSE_THRESHOLD").unwrap_or_default()
+        "[graph_scale]   child threads={} path={cell} done",
+        pool::threads()
     );
 }
 
 /// Spawn this binary back as an equivalence child and return its forecast
 /// bytes.
-fn spawn_child(tag: &str, threads: usize, threshold: &str) -> Vec<u8> {
+fn spawn_child(threads: usize, cell: &str) -> Vec<u8> {
     let dir = std::env::temp_dir().join(format!("d2-gs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("child dir");
-    let out = dir.join(format!("{tag}.bin"));
+    let out = dir.join(format!("{cell}-t{threads}.bin"));
     let mut cmd = Command::new(std::env::current_exe().expect("current exe"));
-    cmd.env(CHILD_OUT_ENV, &out)
+    cmd.arg("--child")
+        .arg(cell)
+        .arg(&out)
         .env("D2_THREADS", threads.to_string())
-        .env("D2_SPARSE_THRESHOLD", threshold)
         .env_remove("D2_FAST_MATH");
-    eprintln!("[graph_scale] child {tag}: threads={threads} threshold={threshold}...");
+    eprintln!("[graph_scale] child {cell}: threads={threads}...");
     let status = cmd.status().expect("spawn child");
-    assert!(status.success(), "bench child `{tag}` failed");
+    assert!(status.success(), "bench child `{cell}-t{threads}` failed");
     std::fs::read(&out).expect("child output")
 }
 
-/// Run the 6-cell dense↔sparse × thread-count matrix and byte-compare all
+/// Run the 6-cell dense↔CSR × thread-count matrix and byte-compare all
 /// forecasts.
 fn run_equivalence() -> Equivalence {
     let thread_set = vec![1usize, 2, 8];
-    // 2.0: sparsity can never reach it → dense tensors. 0.0: any sparsity
-    // qualifies → CSR path.
-    let thresholds = vec!["2.0".to_string(), "0.0".to_string()];
+    let paths = vec!["dense".to_string(), "csr".to_string()];
     let mut outputs: Vec<Vec<u8>> = Vec::new();
     for &t in &thread_set {
-        for th in &thresholds {
-            let kind = if th == "2.0" { "dense" } else { "sparse" };
-            outputs.push(spawn_child(&format!("{kind}-t{t}"), t, th));
+        for cell in &paths {
+            outputs.push(spawn_child(t, cell));
         }
     }
     let identical = !outputs[0].is_empty() && outputs.iter().all(|o| *o == outputs[0]);
     Equivalence {
         nodes: 32,
         thread_set,
-        thresholds,
+        paths,
         runs: outputs.len(),
         identical,
     }
@@ -301,11 +314,14 @@ fn main() {
     if std::env::var_os("D2_PAR_THRESHOLD").is_none() {
         std::env::set_var("D2_PAR_THRESHOLD", "1");
     }
-    let fast = std::env::args().any(|a| a == "--fast");
-    if let Ok(out_path) = std::env::var(CHILD_OUT_ENV) {
-        run_child(&out_path);
-        return;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [flag, cell, out_path] = args.as_slice() {
+        if flag == "--child" {
+            run_child(cell, out_path);
+            return;
+        }
     }
+    let fast = args.iter().any(|a| a == "--fast");
 
     let sizes: Vec<usize> = if fast {
         vec![200, 400, 800, 1600]

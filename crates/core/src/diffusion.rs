@@ -8,10 +8,15 @@
 //! product factorizes as `masked(P^k) · Σ_τ σ(X_{t−τ} W_τ)` — mathematically
 //! identical and O(k_t) cheaper; `transition::localized_transition` provides
 //! the explicit tiled form used by the equivalence test below.
+//!
+//! The static road graph's masked powers are constants of the
+//! [`GraphContext`], formed once, so the block only multiplies by them. The
+//! powers of learned matrices — the adaptive `P_apt` and the per-window
+//! dynamic `P^{dy}` — depend on parameters and are formed here on every
+//! forward.
 
 use crate::forecast::ForecastBranch;
-use crate::graphs::{GraphContext, Transitions};
-use d2stgnn_graph::CsrMatrix;
+use crate::graphs::{GraphContext, MaskedPower, Transitions};
 use d2stgnn_tensor::nn::{Linear, Mlp, Module};
 use d2stgnn_tensor::{Array, Tensor};
 use rand::Rng;
@@ -80,9 +85,10 @@ impl DiffusionBlock {
 
     /// Run the block on the gated diffusion signal `x_dif` `[B, T_h, N, d]`.
     ///
-    /// `transitions` supplies `P_f`/`P_b` (static or per-window dynamic);
-    /// `adaptive` is `P_apt` when enabled. The diagonal of every matrix power
-    /// is masked via `ctx.diag_mask` per Eq. 4.
+    /// `transitions` supplies `P_f`/`P_b`: the context's precomputed masked
+    /// static powers (one per order, `k_s` of each), or per-window dynamic
+    /// matrices; `adaptive` is `P_apt` when enabled. The diagonal of every
+    /// learned matrix power is masked via `ctx.diag_mask` per Eq. 4.
     pub fn forward(
         &self,
         ctx: &GraphContext,
@@ -122,41 +128,60 @@ impl DiffusionBlock {
 
         // --- Eq. 8: sum over transition matrices and spatial orders.
         let z_flat = z.reshape(&[b * th, n, d]);
-        let mut h: Option<Tensor> = None;
-        let mut matrices: Vec<(MatrixRef, &Vec<Linear>)> = Vec::new();
-        match transitions {
+        let mut matrices: Vec<MatrixRef> = match transitions {
             Transitions::Static { p_f, p_b } => {
-                matrices.push((MatrixRef::Shared(p_f), &self.conv_weights[0]));
-                matrices.push((MatrixRef::Shared(p_b), &self.conv_weights[1]));
-            }
-            Transitions::Sparse { p_f, p_b } => {
-                matrices.push((MatrixRef::Sparse(p_f), &self.conv_weights[0]));
-                matrices.push((MatrixRef::Sparse(p_b), &self.conv_weights[1]));
+                vec![MatrixRef::Static(p_f), MatrixRef::Static(p_b)]
             }
             Transitions::Dynamic { p_f, p_b } => {
-                matrices.push((MatrixRef::PerWindow(p_f), &self.conv_weights[0]));
-                matrices.push((MatrixRef::PerWindow(p_b), &self.conv_weights[1]));
+                vec![MatrixRef::PerWindow(p_f), MatrixRef::PerWindow(p_b)]
             }
-        }
+        };
         if self.cfg.use_adaptive {
             let Some(apt) = adaptive else {
                 crate::error::violation("use_adaptive requires an adaptive matrix")
             };
-            matrices.push((MatrixRef::Shared(apt), &self.conv_weights[2]));
+            matrices.push(MatrixRef::Shared(apt));
         }
 
-        for (matrix, weights) in matrices {
-            let mut power = matrix.first_power();
-            for (k, weight) in weights.iter().enumerate().take(self.cfg.ks) {
-                let masked = matrix.mask(&power, ctx, b);
-                let agg = matrix.apply(&masked, &z_flat, b, th, n, d);
-                let term = weight.forward(&agg);
-                h = Some(match h {
-                    Some(acc) => acc.add(&term),
-                    None => term,
-                });
-                if k + 1 < self.cfg.ks {
-                    power = matrix.next_power(&power);
+        let mut h: Option<Tensor> = None;
+        let mut add = |term: Tensor| {
+            h = Some(match h.take() {
+                Some(acc) => acc.add(&term),
+                None => term,
+            });
+        };
+        for (matrix, weights) in matrices.into_iter().zip(&self.conv_weights) {
+            let (base, per_window) = match matrix {
+                MatrixRef::Static(powers) => {
+                    if powers.len() != weights.len() {
+                        crate::error::violation("the context's static powers must number k_s");
+                    }
+                    for (power, weight) in powers.iter().zip(weights) {
+                        add(weight.forward(&power.apply(&z_flat)));
+                    }
+                    continue;
+                }
+                MatrixRef::Shared(base) => (base, false),
+                MatrixRef::PerWindow(base) => (base, true),
+            };
+            let mut power = base.clone();
+            for (k, weight) in weights.iter().enumerate() {
+                // Eq. 4's `⊙ (1 - I_N)`, then `masked · z` for every
+                // (window, time) pair.
+                let agg = if per_window {
+                    // Per-window matrices are repeated across the T_h axis
+                    // first: [B*Th, N, N] x [B*Th, N, d].
+                    let mask = ctx.diag_mask().reshape(&[1, n, n]).broadcast_to(&[b, n, n]);
+                    let idx: Vec<usize> =
+                        (0..b).flat_map(|bi| std::iter::repeat_n(bi, th)).collect();
+                    power.mul(&mask).index_select(0, &idx).matmul(&z_flat)
+                } else {
+                    // [N, N] x [B*Th, N, d] broadcasts over the batch.
+                    power.mul(ctx.diag_mask()).matmul(&z_flat)
+                };
+                add(weight.forward(&agg));
+                if k + 1 < weights.len() {
+                    power = power.matmul(base);
                 }
             }
         }
@@ -182,102 +207,16 @@ impl DiffusionBlock {
     }
 }
 
-/// A shared `[N, N]` matrix (dense or CSR) or a per-window `[B, N, N]`
-/// batch of dense ones.
+/// A transition matrix of Eq. 8. Static ones arrive as the context's
+/// precomputed masked powers; the powers of learned ones depend on
+/// parameters and are formed and masked on every forward.
 enum MatrixRef<'a> {
+    /// A static road-network transition's `[mask(P^1), ..., mask(P^{k_s})]`.
+    Static(&'a [MaskedPower]),
+    /// The adaptive `P_apt` `[N, N]`, shared by every window.
     Shared(&'a Tensor),
-    Sparse(&'a CsrMatrix),
+    /// A dynamic `P^{dy}` `[B, N, N]`, one per window.
     PerWindow(&'a Tensor),
-}
-
-/// A transition power `P^k` in the same representation as its base matrix.
-enum MatrixPower {
-    Dense(Tensor),
-    Sparse(CsrMatrix),
-}
-
-impl MatrixPower {
-    fn dense(&self) -> &Tensor {
-        match self {
-            MatrixPower::Dense(t) => t,
-            MatrixPower::Sparse(_) => crate::error::violation("expected a dense transition power"),
-        }
-    }
-
-    fn sparse(&self) -> &CsrMatrix {
-        match self {
-            MatrixPower::Sparse(c) => c,
-            MatrixPower::Dense(_) => crate::error::violation("expected a sparse transition power"),
-        }
-    }
-}
-
-impl MatrixRef<'_> {
-    /// `P^1`, in the base matrix's representation.
-    fn first_power(&self) -> MatrixPower {
-        match self {
-            MatrixRef::Shared(t) | MatrixRef::PerWindow(t) => MatrixPower::Dense((*t).clone()),
-            MatrixRef::Sparse(c) => MatrixPower::Sparse((*c).clone()),
-        }
-    }
-
-    /// `P^{k+1}` from `P^k` (right-multiplied by the base matrix).
-    fn next_power(&self, power: &MatrixPower) -> MatrixPower {
-        match self {
-            MatrixRef::Shared(base) | MatrixRef::PerWindow(base) => {
-                MatrixPower::Dense(power.dense().matmul(base))
-            }
-            MatrixRef::Sparse(base) => MatrixPower::Sparse(crate::error::require(
-                power.sparse().matmul_sparse(base),
-                "transition powers share the base matrix's shape",
-            )),
-        }
-    }
-
-    /// Zero the diagonal (Eq. 4's `⊙ (1 - I_N)`).
-    fn mask(&self, power: &MatrixPower, ctx: &GraphContext, b: usize) -> MatrixPower {
-        match self {
-            MatrixRef::Shared(_) => MatrixPower::Dense(power.dense().mul(ctx.diag_mask())),
-            // The CSR mask zeroes stored diagonal values in place — no
-            // dense [N, N] mask tensor is ever needed.
-            MatrixRef::Sparse(_) => MatrixPower::Sparse(power.sparse().mask_diagonal()),
-            MatrixRef::PerWindow(_) => {
-                let n = ctx.num_nodes();
-                MatrixPower::Dense(
-                    power
-                        .dense()
-                        .mul(&ctx.diag_mask().reshape(&[1, n, n]).broadcast_to(&[b, n, n])),
-                )
-            }
-        }
-    }
-
-    /// `masked_P · z` for every (window, time) pair; `z_flat` is `[B*Th, N, d]`.
-    fn apply(
-        &self,
-        masked: &MatrixPower,
-        z_flat: &Tensor,
-        b: usize,
-        th: usize,
-        n: usize,
-        _d: usize,
-    ) -> Tensor {
-        match self {
-            // [N,N] x [B*Th, N, d] broadcasts over the batch.
-            MatrixRef::Shared(_) => masked.dense().matmul(z_flat),
-            // The pooled sparse spmm autograd op: the matrix is a constant,
-            // gradients flow into z through the transposed CSR.
-            MatrixRef::Sparse(_) => Tensor::spmm(masked.sparse().as_sparse(), z_flat),
-            // Per-window matrices must be repeated across the Th axis first.
-            MatrixRef::PerWindow(_) => {
-                let idx: Vec<usize> = (0..b).flat_map(|bi| std::iter::repeat_n(bi, th)).collect();
-                let tiled = masked.dense().index_select(0, &idx); // [B*Th, N, N]
-                debug_assert_eq!(tiled.shape()[0], b * th);
-                debug_assert_eq!(tiled.shape()[1], n);
-                tiled.matmul(z_flat)
-            }
-        }
-    }
 }
 
 impl Module for DiffusionBlock {
@@ -297,7 +236,7 @@ impl Module for DiffusionBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use d2stgnn_graph::{transition, TrafficNetwork};
+    use d2stgnn_graph::{transition, SparseNetwork, TrafficNetwork};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -312,21 +251,25 @@ mod tests {
         }
     }
 
-    fn setup(n: usize) -> (GraphContext, StdRng) {
+    fn network(n: usize) -> (TrafficNetwork, StdRng) {
         let mut rng = StdRng::seed_from_u64(3);
         let net = TrafficNetwork::random_geometric(n, 3, 0.02, &mut rng);
-        (GraphContext::new(&net), rng)
+        (net, rng)
+    }
+
+    /// A context with static powers up to `ks`; these small networks stay
+    /// on the dense dispatch.
+    fn setup(n: usize, ks: usize) -> (GraphContext, StdRng) {
+        let (net, rng) = network(n);
+        (GraphContext::new(&net, Some(ks)), rng)
     }
 
     #[test]
     fn output_shapes_static() {
-        let (ctx, mut rng) = setup(7);
+        let (ctx, mut rng) = setup(7, 2);
         let block = DiffusionBlock::new(cfg(), &mut rng);
         let x = Tensor::constant(Array::randn(&[2, 5, 7, 6], &mut rng));
-        let tr = Transitions::Static {
-            p_f: ctx.p_f().clone(),
-            p_b: ctx.p_b().clone(),
-        };
+        let tr = ctx.static_transitions();
         let out = block.forward(&ctx, &x, &tr, None);
         assert_eq!(out.hidden.shape(), vec![2, 5, 7, 6]);
         assert_eq!(out.forecast.shape(), vec![2, 4, 7, 6]);
@@ -335,7 +278,8 @@ mod tests {
 
     #[test]
     fn output_shapes_dynamic_and_adaptive() {
-        let (ctx, mut rng) = setup(7);
+        let (net, mut rng) = network(7);
+        let ctx = GraphContext::new(&net, None);
         let mut c = cfg();
         c.use_adaptive = true;
         c.autoregressive = false;
@@ -355,13 +299,10 @@ mod tests {
     fn dynamic_with_static_values_matches_static_path() {
         // Feeding the static matrices through the dynamic code path must give
         // identical hidden states (the tiling logic is value-preserving).
-        let (ctx, mut rng) = setup(6);
+        let (ctx, mut rng) = setup(6, 2);
         let block = DiffusionBlock::new(cfg(), &mut rng);
         let x = Tensor::constant(Array::randn(&[3, 4, 6, 6], &mut rng));
-        let st = Transitions::Static {
-            p_f: ctx.p_f().clone(),
-            p_b: ctx.p_b().clone(),
-        };
+        let st = ctx.static_transitions();
         let dy = Transitions::Dynamic {
             p_f: ctx.p_f().reshape(&[1, 6, 6]).broadcast_to(&[3, 6, 6]),
             p_b: ctx.p_b().reshape(&[1, 6, 6]).broadcast_to(&[3, 6, 6]),
@@ -375,27 +316,23 @@ mod tests {
 
     #[test]
     fn sparse_path_matches_dense_path_exactly() {
-        // The CSR transitions hold the same values as the dense tensors, so
-        // the sparse diffusion path must reproduce the dense hidden states,
+        // The CSR powers hold the same values as the dense tensors, so the
+        // sparse diffusion path must reproduce the dense hidden states,
         // branches, and input gradients exactly (the spmm kernel skips only
         // zero terms, which cannot change a finite accumulation).
-        let (ctx, mut rng) = setup(6);
+        let (net, mut rng) = network(6);
+        let dense_ctx = GraphContext::new(&net, Some(3)); // spgemm chain too
+        let sparse_ctx = GraphContext::from_sparse(&SparseNetwork::from_network(&net), 3);
         let mut c = cfg();
-        c.ks = 3; // exercise the spgemm power chain too
+        c.ks = 3;
         let block = DiffusionBlock::new(c, &mut rng);
         let base = Array::randn(&[2, 4, 6, 6], &mut rng);
-        let st = Transitions::Static {
-            p_f: ctx.p_f().clone(),
-            p_b: ctx.p_b().clone(),
-        };
-        let sp = Transitions::Sparse {
-            p_f: CsrMatrix::from_dense(&ctx.p_f().value(), 0.0).unwrap(),
-            p_b: CsrMatrix::from_dense(&ctx.p_b().value(), 0.0).unwrap(),
-        };
+        let st = dense_ctx.static_transitions();
+        let sp = sparse_ctx.static_transitions();
         let x_dense = Tensor::parameter(base.clone());
         let x_sparse = Tensor::parameter(base);
-        let dense_out = block.forward(&ctx, &x_dense, &st, None);
-        let sparse_out = block.forward(&ctx, &x_sparse, &sp, None);
+        let dense_out = block.forward(&dense_ctx, &x_dense, &st, None);
+        let sparse_out = block.forward(&sparse_ctx, &x_sparse, &sp, None);
         assert_eq!(
             dense_out.hidden.value().data(),
             sparse_out.hidden.value().data(),
@@ -422,15 +359,17 @@ mod tests {
     fn factored_form_matches_explicit_eq4_tiling() {
         // One matrix, ks=1: H_t = masked(P) Σ_τ relu(x_{t-τ} W_τ) W must equal
         // the explicit (P^lc)^1 X^lc product of Eqs. 4-6.
-        let (ctx, mut rng) = setup(5);
+        let (ctx, mut rng) = setup(5, 1);
         let mut c = cfg();
         c.ks = 1;
         c.kt = 2;
         let block = DiffusionBlock::new(c, &mut rng);
         let x = Array::randn(&[1, 3, 5, 6], &mut rng);
+        let masked_p_f = transition::mask_diagonal(&ctx.p_f().value());
         let tr = Transitions::Static {
-            p_f: ctx.p_f().clone(),
-            p_b: Tensor::constant(Array::zeros(&[5, 5])), // isolate P_f term
+            p_f: vec![MaskedPower::Dense(Tensor::constant(masked_p_f))],
+            // Isolate the P_f term.
+            p_b: vec![MaskedPower::Dense(Tensor::constant(Array::zeros(&[5, 5])))],
         };
         let out = block.forward(&ctx, &Tensor::constant(x.clone()), &tr, None);
 
@@ -458,11 +397,12 @@ mod tests {
     fn own_history_is_invisible_to_diffusion() {
         // Eq. 4 masks the diagonal of every P^k: a node's diffusion hidden
         // state must never depend on its own input. Use a dense 2-node graph
-        // with self-loops so every P^k (k = 1, 2) is all-0.5 BEFORE masking —
-        // only the mask can remove the self-term.
+        // with self-loops so every P^k (k = 1, 2) of both transitions is
+        // all-0.5 BEFORE masking — only the context's mask can remove the
+        // self-term.
         let mut rng = StdRng::seed_from_u64(9);
         let net = TrafficNetwork::from_adjacency(2, vec![1., 1., 1., 1.], vec![]);
-        let ctx = GraphContext::new(&net);
+        let ctx = GraphContext::new(&net, Some(2));
         let mut c = cfg();
         c.ks = 2;
         let block = DiffusionBlock::new(c, &mut rng);
@@ -475,10 +415,7 @@ mod tests {
                 bumped.data_mut()[idx] += 5.0;
             }
         }
-        let tr = Transitions::Static {
-            p_f: Tensor::constant(transition::forward_transition(&net.adjacency())),
-            p_b: Tensor::constant(Array::zeros(&[2, 2])),
-        };
+        let tr = ctx.static_transitions();
         let h0 = block
             .forward(&ctx, &Tensor::constant(base), &tr, None)
             .hidden
@@ -503,16 +440,13 @@ mod tests {
 
     #[test]
     fn gradients_flow_everywhere() {
-        let (ctx, mut rng) = setup(6);
+        let (ctx, mut rng) = setup(6, 2);
         let mut c = cfg();
         c.use_adaptive = true;
         let block = DiffusionBlock::new(c, &mut rng);
         let x = Tensor::parameter(Array::randn(&[2, 4, 6, 6], &mut rng));
         let apt = Tensor::parameter(transition::row_normalize(&Array::ones(&[6, 6])));
-        let tr = Transitions::Static {
-            p_f: ctx.p_f().clone(),
-            p_b: ctx.p_b().clone(),
-        };
+        let tr = ctx.static_transitions();
         let out = block.forward(&ctx, &x, &tr, Some(&apt));
         out.hidden
             .sum_all()

@@ -1,4 +1,5 @@
-//! Graph machinery inside the model: static transition constants, the
+//! Graph machinery inside the model: the static transition constants —
+//! including Eq. 4's masked powers, formed once per context — the
 //! self-adaptive transition matrix (Eq. 7), and the dynamic graph learner
 //! (Eqs. 13–14).
 
@@ -7,30 +8,46 @@ use d2stgnn_graph::{transition, CsrMatrix, SparseNetwork, TrafficNetwork};
 use d2stgnn_tensor::nn::{Linear, Mlp, Module};
 use d2stgnn_tensor::{Array, Tensor};
 use rand::Rng;
-use std::sync::OnceLock;
+
+/// Minimum fraction of zero entries in *both* static transition matrices at
+/// which [`GraphContext::new`] stores their masked powers as CSR. Either
+/// representation holds the same values, so this is a speed choice only.
+const SPARSE_THRESHOLD: f32 = 0.9;
+
+/// One masked static transition power `mask(P^k)` (Eq. 4), in the
+/// representation the context's sparsity dispatch picked.
+#[derive(Clone)]
+pub enum MaskedPower {
+    /// A dense constant `[N, N]` tensor.
+    Dense(Tensor),
+    /// A CSR matrix, multiplied through the pooled spmm.
+    Csr(CsrMatrix),
+}
+
+impl MaskedPower {
+    /// `mask(P^k) · z` for `z` `[B·T_h, N, d]`. The power is a constant, so
+    /// gradients flow only into `z`.
+    pub(crate) fn apply(&self, z: &Tensor) -> Tensor {
+        match self {
+            MaskedPower::Dense(p) => p.matmul(z),
+            MaskedPower::Csr(p) => Tensor::spmm(p, z),
+        }
+    }
+}
 
 /// The transition matrices handed to the diffusion block for one forward
-/// pass. Static matrices are `[N, N]` (dense tensors or CSR, chosen by the
-/// sparsity dispatch rule); dynamic ones carry a batch axis `[B, N, N]`
-/// (one graph per window, static *within* the window as the paper assumes)
-/// and are always dense — they are batch-varying products of a softmax
-/// attention mask, dense by construction, and gradients must flow through
-/// them.
+/// pass. Static transitions arrive as their masked powers, which are
+/// constants of the [`GraphContext`]; dynamic ones carry a batch axis
+/// `[B, N, N]` (one graph per window, static *within* the window as the
+/// paper assumes) and stay dense, because gradients must flow through them.
 pub enum Transitions {
-    /// Road-network transitions shared by every sample.
+    /// Road-network transitions shared by every sample:
+    /// `[mask(P^1), ..., mask(P^{k_s})]` of each.
     Static {
-        /// Forward transition `P_f`.
-        p_f: Tensor,
-        /// Backward transition `P_b`.
-        p_b: Tensor,
-    },
-    /// Road-network transitions shared by every sample, stored sparsely:
-    /// the city-scale hot path (constant matrices, no gradients needed).
-    Sparse {
-        /// Forward transition `P_f` as CSR.
-        p_f: CsrMatrix,
-        /// Backward transition `P_b` as CSR.
-        p_b: CsrMatrix,
+        /// Masked powers of the forward transition `P_f`.
+        p_f: Vec<MaskedPower>,
+        /// Masked powers of the backward transition `P_b`.
+        p_b: Vec<MaskedPower>,
     },
     /// Learned per-window transitions `P^{dy}` (Eq. 14).
     Dynamic {
@@ -41,7 +58,8 @@ pub enum Transitions {
     },
 }
 
-/// Dense precomputed constants (paper-scale graphs).
+/// Dense constants of a paper-scale network, which the dynamic graph
+/// learner and the learned matrices' masks need.
 struct DenseContext {
     /// `P_f` as a constant tensor `[N, N]`.
     p_f: Tensor,
@@ -51,87 +69,76 @@ struct DenseContext {
     diag_mask: Tensor,
 }
 
-/// `D2_SPARSE_THRESHOLD`: minimum transition-matrix sparsity (fraction of
-/// zero entries) at which [`GraphContext::new`] switches the static
-/// diffusion path to CSR. Read once per process like the other `D2_*`
-/// switches; values above 1.0 force the dense path, 0 forces sparse.
-fn sparse_threshold() -> f32 {
-    static THRESHOLD: OnceLock<f32> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("D2_SPARSE_THRESHOLD")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.9)
-    })
-}
-
 /// Precomputed constants derived from the road network.
 ///
-/// Holds the static transition matrices in one or both representations:
-/// dense tensors (always present for paper-scale [`TrafficNetwork`]s — the
-/// dynamic graph learner and the adaptive matrix need them) and CSR copies
-/// of the *same values* when the matrices are sparse enough that the
-/// diffusion block should take the pooled spmm path. City-scale contexts
-/// built with [`GraphContext::from_sparse`] are sparse-only and never
-/// materialize an `[N, N]` tensor.
+/// A context built from a paper-scale [`TrafficNetwork`] holds the dense
+/// transitions (the dynamic graph learner and the adaptive matrix need
+/// them). For a model that diffuses over the static graph it also holds the
+/// masked powers `mask(P_f^k)`, `mask(P_b^k)`, `k = 1..=k_s`, formed once
+/// here and never per forward. City-scale contexts built with
+/// [`GraphContext::from_sparse`] hold only CSR powers and never materialize
+/// an `[N, N]` tensor.
 pub struct GraphContext {
     dense: Option<DenseContext>,
-    sparse: Option<(CsrMatrix, CsrMatrix)>,
+    powers: Option<(Vec<MaskedPower>, Vec<MaskedPower>)>,
     n: usize,
 }
 
 impl GraphContext {
-    /// Build from a traffic network. The CSR representation is attached
-    /// automatically when both transition matrices' sparsity reaches the
-    /// `D2_SPARSE_THRESHOLD` env var (default 0.9).
-    pub fn new(network: &TrafficNetwork) -> Self {
-        Self::with_threshold(network, sparse_threshold())
-    }
-
-    /// [`GraphContext::new`] with an explicit sparsity threshold (tests and
-    /// benches force either path with 0.0 / above-1.0).
-    pub fn with_threshold(network: &TrafficNetwork, threshold: f32) -> Self {
+    /// Build from a traffic network. `static_ks` is `Some(k_s)` for a model
+    /// that diffuses over the static graph: the masked powers are then
+    /// formed as CSR when both transitions are at least 90% zeros, and as
+    /// dense tensors otherwise. A dynamic-graph model passes `None` and
+    /// gets no powers.
+    pub fn new(network: &TrafficNetwork, static_ks: Option<usize>) -> Self {
         let adj = network.adjacency();
         let n = network.num_nodes();
-        let mut mask = Array::ones(&[n, n]);
-        for i in 0..n {
-            mask.data_mut()[i * n + i] = 0.0;
-        }
         let p_f = transition::forward_transition(&adj);
         let p_b = transition::backward_transition(&adj);
-        // CSR copies hold the *exact same values* as the dense tensors, so
-        // either path produces bit-identical diffusion results; see
-        // `d2stgnn_tensor::sparse` for the zero-skip argument.
-        let c_f = crate::error::require(
-            CsrMatrix::from_dense(&p_f, 0.0),
-            "row-normalized transitions are finite",
-        );
-        let c_b = crate::error::require(
-            CsrMatrix::from_dense(&p_b, 0.0),
-            "row-normalized transitions are finite",
-        );
-        let sparse =
-            (c_f.sparsity() >= threshold && c_b.sparsity() >= threshold).then_some((c_f, c_b));
+        let mut diag_mask = Array::ones(&[n, n]);
+        for v in diag_mask.data_mut().iter_mut().step_by(n + 1) {
+            *v = 0.0;
+        }
+        let powers = static_ks.map(|ks| {
+            // The CSR copies hold the *exact same values* as the dense
+            // arrays, and both power chains produce the same bits; see
+            // `transition::masked_powers_csr`.
+            let csr = |p: &Array| {
+                crate::error::require(
+                    CsrMatrix::from_dense(p, 0.0),
+                    "row-normalized transitions are finite",
+                )
+            };
+            let (c_f, c_b) = (csr(&p_f), csr(&p_b));
+            if c_f.sparsity() >= SPARSE_THRESHOLD && c_b.sparsity() >= SPARSE_THRESHOLD {
+                (csr_powers(&c_f, ks), csr_powers(&c_b, ks))
+            } else {
+                (dense_powers(&p_f, ks), dense_powers(&p_b, ks))
+            }
+        });
         Self {
             dense: Some(DenseContext {
                 p_f: Tensor::constant(p_f),
                 p_b: Tensor::constant(p_b),
-                diag_mask: Tensor::constant(mask),
+                diag_mask: Tensor::constant(diag_mask),
             }),
-            sparse,
+            powers,
             n,
         }
     }
 
-    /// Build a sparse-only context from a city-scale network: transitions
-    /// are row-normalized in CSR form and no dense `[N, N]` tensor is ever
-    /// materialized (at 100k nodes that would be 40 GB). Model features
+    /// Build a sparse-only context from a city-scale network: the masked
+    /// powers up to `ks` are formed in CSR and no dense `[N, N]` tensor is
+    /// ever materialized (at 100k nodes that would be 40 GB). Model features
     /// that need dense matrices (dynamic graph learner, adaptive matrix)
     /// are unavailable with such a context.
-    pub fn from_sparse(network: &SparseNetwork) -> Self {
+    pub fn from_sparse(network: &SparseNetwork, ks: usize) -> Self {
         Self {
             dense: None,
-            sparse: Some((network.forward_transition(), network.backward_transition())),
+            powers: Some((
+                csr_powers(&network.forward_transition(), ks),
+                csr_powers(&network.backward_transition(), ks),
+            )),
             n: network.num_nodes(),
         }
     }
@@ -166,17 +173,42 @@ impl GraphContext {
         }
     }
 
-    /// The CSR transitions `(P_f, P_b)` when the sparse diffusion path is
-    /// active (city-scale context, or dense matrices past the sparsity
-    /// threshold).
-    pub fn sparse_transitions(&self) -> Option<(&CsrMatrix, &CsrMatrix)> {
-        self.sparse.as_ref().map(|(f, b)| (f, b))
+    /// The static transitions as the diffusion block consumes them: the
+    /// precomputed masked powers of `P_f` and `P_b` (O(k_s) handle clones).
+    ///
+    /// # Panics
+    /// On a context built without static powers (`static_ks: None`): a
+    /// dynamic-graph model never diffuses over the static graph.
+    pub fn static_transitions(&self) -> Transitions {
+        match &self.powers {
+            Some((p_f, p_b)) => Transitions::Static {
+                p_f: p_f.clone(),
+                p_b: p_b.clone(),
+            },
+            None => crate::error::violation(
+                "this GraphContext was built without static transition powers",
+            ),
+        }
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.n
     }
+}
+
+fn dense_powers(p: &Array, ks: usize) -> Vec<MaskedPower> {
+    transition::masked_powers(p, ks)
+        .into_iter()
+        .map(|m| MaskedPower::Dense(Tensor::constant(m)))
+        .collect()
+}
+
+fn csr_powers(p: &CsrMatrix, ks: usize) -> Vec<MaskedPower> {
+    transition::masked_powers_csr(p, ks)
+        .into_iter()
+        .map(MaskedPower::Csr)
+        .collect()
 }
 
 /// Self-adaptive transition matrix (Eq. 7):
@@ -288,9 +320,24 @@ mod tests {
     fn setup() -> (GraphContext, SharedEmbeddings, StdRng) {
         let mut rng = StdRng::seed_from_u64(7);
         let net = TrafficNetwork::random_geometric(8, 3, 0.05, &mut rng);
-        let ctx = GraphContext::new(&net);
+        let ctx = GraphContext::new(&net, None);
         let emb = SharedEmbeddings::new(8, 288, 6, &mut rng);
         (ctx, emb, rng)
+    }
+
+    /// Dense values of a context's static masked powers (`P_f`'s, then
+    /// `P_b`'s), each flagged with whether it is stored as CSR.
+    fn powers_of(ctx: &GraphContext) -> Vec<(Array, bool)> {
+        let Transitions::Static { p_f, p_b } = ctx.static_transitions() else {
+            panic!("a context's static transitions are static");
+        };
+        p_f.iter()
+            .chain(&p_b)
+            .map(|p| match p {
+                MaskedPower::Dense(t) => (t.value(), false),
+                MaskedPower::Csr(c) => (c.to_dense(), true),
+            })
+            .collect()
     }
 
     #[test]
@@ -363,39 +410,68 @@ mod tests {
     }
 
     #[test]
-    fn sparsity_threshold_selects_representation() {
+    fn context_powers_match_masked_powers_for_both_dispatches() {
         let mut rng = StdRng::seed_from_u64(7);
-        let net = TrafficNetwork::random_geometric(8, 3, 0.05, &mut rng);
-        // Above 1.0: dense-only, the sparse path can never activate.
-        let dense_only = GraphContext::with_threshold(&net, 2.0);
-        assert!(dense_only.sparse_transitions().is_none());
-        // At 0.0: the CSR copies exist and hold the dense values bit-for-bit.
-        let both = GraphContext::with_threshold(&net, 0.0);
-        let (c_f, c_b) = both.sparse_transitions().expect("sparse copies");
-        assert_eq!(c_f.to_dense().data(), both.p_f().value().data());
-        assert_eq!(c_b.to_dense().data(), both.p_b().value().data());
+        let bits = |a: &Array| a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // At most 3 out-edges per node: 8 nodes leave the transitions well
+        // under 90% zeros (dense powers), 40 nodes put them above (CSR).
+        for (n, dense_ctx_is_csr) in [(8, false), (40, true)] {
+            let net = TrafficNetwork::random_geometric(n, 3, 0.05, &mut rng);
+            let adj = net.adjacency();
+            let mut expect = transition::masked_powers(&transition::forward_transition(&adj), 3);
+            expect.extend(transition::masked_powers(
+                &transition::backward_transition(&adj),
+                3,
+            ));
+            let contexts = [
+                (GraphContext::new(&net, Some(3)), dense_ctx_is_csr),
+                (
+                    GraphContext::from_sparse(&SparseNetwork::from_network(&net), 3),
+                    true,
+                ),
+            ];
+            for (ctx, csr) in contexts {
+                let got = powers_of(&ctx);
+                assert_eq!(got.len(), expect.len());
+                for ((g, is_csr), e) in got.iter().zip(&expect) {
+                    assert_eq!(*is_csr, csr, "n = {n}: wrong representation");
+                    assert_eq!(bits(g), bits(e), "n = {n}: powers differ");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "without static transition powers")]
+    fn dynamic_graph_context_forms_no_static_powers() {
+        let (ctx, _, _) = setup();
+        let _ = ctx.static_transitions();
     }
 
     #[test]
     fn sparse_only_context_has_transitions_but_no_dense() {
         let mut rng = StdRng::seed_from_u64(8);
-        let city = d2stgnn_graph::SparseNetwork::random_city(300, 4, 0.05, &mut rng);
-        let ctx = GraphContext::from_sparse(&city);
+        let city = SparseNetwork::random_city(300, 4, 0.05, &mut rng);
+        let ctx = GraphContext::from_sparse(&city, 2);
         assert_eq!(ctx.num_nodes(), 300);
-        let (c_f, c_b) = ctx.sparse_transitions().expect("city context is sparse");
+        let powers = powers_of(&ctx);
+        assert_eq!(powers.len(), 4);
+        assert!(powers
+            .iter()
+            .all(|(p, csr)| *csr && p.shape() == [300, 300]));
+        // No self-loops in a generated city: mask(P_f) is P_f itself.
         assert!(d2stgnn_graph::transition::is_row_stochastic(
-            &c_f.to_dense(),
+            &powers[0].0,
             1e-5
         ));
-        assert_eq!(c_b.shape(), (300, 300));
     }
 
     #[test]
     #[should_panic(expected = "sparse-only GraphContext")]
     fn sparse_only_context_rejects_dense_accessors() {
         let mut rng = StdRng::seed_from_u64(9);
-        let city = d2stgnn_graph::SparseNetwork::random_city(20, 3, 0.05, &mut rng);
-        let ctx = GraphContext::from_sparse(&city);
+        let city = SparseNetwork::random_city(20, 3, 0.05, &mut rng);
+        let ctx = GraphContext::from_sparse(&city, 2);
         let _ = ctx.p_f();
     }
 

@@ -184,7 +184,7 @@ mod tests {
     fn setup(cfg: &D2stgnnConfig) -> (GraphContext, SharedEmbeddings, DecoupledLayer, StdRng) {
         let mut rng = StdRng::seed_from_u64(5);
         let net = TrafficNetwork::random_geometric(cfg.num_nodes, 3, 0.02, &mut rng);
-        let ctx = GraphContext::new(&net);
+        let ctx = GraphContext::new(&net, Some(cfg.ks));
         let emb = SharedEmbeddings::new(cfg.num_nodes, cfg.steps_per_day, cfg.emb_dim, &mut rng);
         let layer = DecoupledLayer::new(cfg, &mut rng);
         (ctx, emb, layer, rng)
@@ -196,10 +196,7 @@ mod tests {
             &[2, cfg.th, cfg.num_nodes, cfg.hidden],
             &mut rng,
         ));
-        let tr = Transitions::Static {
-            p_f: ctx.p_f().clone(),
-            p_b: ctx.p_b().clone(),
-        };
+        let tr = ctx.static_transitions();
         let apt = crate::graphs::adaptive_transition(&emb);
         let tod: Vec<usize> = (0..2 * cfg.th).map(|i| i % 288).collect();
         let dow: Vec<usize> = (0..2 * cfg.th).map(|i| i % 7).collect();
@@ -264,10 +261,7 @@ mod tests {
         let cfg = small();
         let (ctx, emb, layer, mut rng) = setup(&cfg);
         let x = Tensor::constant(Array::randn(&[1, 6, 6, 16], &mut rng));
-        let tr = Transitions::Static {
-            p_f: ctx.p_f().clone(),
-            p_b: ctx.p_b().clone(),
-        };
+        let tr = ctx.static_transitions();
         let apt = crate::graphs::adaptive_transition(&emb);
         let tod: Vec<usize> = (0..6).collect();
         let dow = vec![0; 6];
@@ -283,10 +277,7 @@ mod tests {
         let cfg = small();
         let (ctx, emb, layer, mut rng) = setup(&cfg);
         let x = Tensor::parameter(Array::randn(&[1, 6, 6, 16], &mut rng));
-        let tr = Transitions::Static {
-            p_f: ctx.p_f().clone(),
-            p_b: ctx.p_b().clone(),
-        };
+        let tr = ctx.static_transitions();
         let apt = crate::graphs::adaptive_transition(&emb);
         let tod: Vec<usize> = (0..6).collect();
         let dow = vec![0; 6];

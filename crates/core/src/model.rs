@@ -41,12 +41,14 @@ impl D2stgnn {
             cfg.num_nodes,
             network.num_nodes()
         );
-        Self::with_context(cfg, GraphContext::new(network), rng)
+        let static_ks = (!cfg.use_dynamic_graph).then_some(cfg.ks);
+        Self::with_context(cfg, GraphContext::new(network, static_ks), rng)
     }
 
     /// Build the model for a city-scale sparse network. The static
-    /// transitions stay in CSR form end to end — no dense `[N, N]` tensor
-    /// is ever materialized, so this scales to 100k-node graphs.
+    /// transitions and their masked powers stay in CSR form end to end — no
+    /// dense `[N, N]` tensor is ever materialized, so this scales to
+    /// 100k-node graphs.
     ///
     /// # Panics
     /// If the config fails validation, disagrees with the network size, or
@@ -73,13 +75,14 @@ impl D2stgnn {
                  disable use_dynamic_graph and use_adaptive for sparse city-scale models",
             );
         }
-        Self::with_context(cfg, GraphContext::from_sparse(network), rng)
+        let ctx = GraphContext::from_sparse(network, cfg.ks);
+        Self::with_context(cfg, ctx, rng)
     }
 
     /// Shared constructor core. Consumes the rng in the same order for
-    /// every context kind, so dense- and sparse-context models built from
-    /// the same seed get identical initial weights (the equivalence tests
-    /// rely on this).
+    /// every context kind (building a context consumes none), so dense- and
+    /// sparse-context models built from the same seed get identical initial
+    /// weights (the equivalence tests rely on this).
     fn with_context<R: Rng>(cfg: D2stgnnConfig, ctx: GraphContext, rng: &mut R) -> Self {
         let embeddings = SharedEmbeddings::new(cfg.num_nodes, cfg.steps_per_day, cfg.emb_dim, rng);
         let input_proj = Linear::new(cfg.in_channels, cfg.hidden, true, rng);
@@ -152,19 +155,8 @@ impl D2stgnn {
                 let (p_f, p_b) = dg.forward(&self.ctx, &self.embeddings, &x0, &tod_last, &dow_last);
                 Transitions::Dynamic { p_f, p_b }
             }
-            // The CSR representation, when present, is the hot path: same
-            // values as the dense tensors, O(nnz) instead of O(N²) per
-            // diffusion step.
-            None => match self.ctx.sparse_transitions() {
-                Some((p_f, p_b)) => Transitions::Sparse {
-                    p_f: p_f.clone(),
-                    p_b: p_b.clone(),
-                },
-                None => Transitions::Static {
-                    p_f: self.ctx.p_f().clone(),
-                    p_b: self.ctx.p_b().clone(),
-                },
-            },
+            // The static graph's masked powers are context constants.
+            None => self.ctx.static_transitions(),
         };
 
         // Algorithm 1 lines 5-12: stacked decoupled layers.
@@ -240,6 +232,7 @@ impl Module for D2stgnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graphs::MaskedPower;
     use d2stgnn_data::{simulate, SimulatorConfig, Split, WindowedDataset};
     use rand::SeedableRng;
 
@@ -370,9 +363,9 @@ mod tests {
 
     #[test]
     fn sparse_context_forecasts_match_dense_bitwise() {
-        // Same seed, same data, same weights — one model forced onto the
-        // dense transition path, one onto the CSR path. Forecasts must be
-        // bit-identical: the sparse kernels only skip zero terms.
+        // Same seed, same data, same weights — one model on the dense
+        // masked powers, one on CSR powers of the same network. Forecasts
+        // must be bit-identical: the sparse kernels only skip zero terms.
         let mut sim = SimulatorConfig::tiny();
         sim.num_nodes = 8;
         sim.knn = 3;
@@ -384,16 +377,16 @@ mod tests {
         cfg.use_adaptive = false;
 
         let mut rng_a = StdRng::seed_from_u64(0);
-        let dense = D2stgnn::with_context(
-            cfg.clone(),
-            GraphContext::with_threshold(&net, 2.0),
-            &mut rng_a,
-        );
+        let dense = D2stgnn::new(cfg.clone(), &net, &mut rng_a);
         let mut rng_b = StdRng::seed_from_u64(0);
-        let sparse =
-            D2stgnn::with_context(cfg, GraphContext::with_threshold(&net, 0.0), &mut rng_b);
-        assert!(dense.ctx.sparse_transitions().is_none());
-        assert!(sparse.ctx.sparse_transitions().is_some());
+        let city = d2stgnn_graph::SparseNetwork::from_network(&net);
+        let sparse = D2stgnn::new_sparse(cfg, &city, &mut rng_b);
+        let is_csr = |m: &D2stgnn| match m.ctx.static_transitions() {
+            Transitions::Static { p_f, .. } => matches!(p_f[0], MaskedPower::Csr(_)),
+            Transitions::Dynamic { .. } => unreachable!("static-graph model"),
+        };
+        assert!(!is_csr(&dense), "an 8-node network must stay dense");
+        assert!(is_csr(&sparse));
 
         let batch = windowed.batch(Split::Train, &[0, 1]);
         let pa = dense.forward(&batch, false, &mut rng_a).value();

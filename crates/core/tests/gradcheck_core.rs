@@ -3,7 +3,7 @@
 //! (Eqs. 10–12), each checked through all three output branches.
 
 use d2stgnn_core::diffusion::{DiffusionBlock, DiffusionBlockConfig};
-use d2stgnn_core::graphs::{GraphContext, Transitions};
+use d2stgnn_core::graphs::GraphContext;
 use d2stgnn_core::inherent::{InherentBlock, InherentBlockConfig};
 use d2stgnn_data::{simulate, SimulatorConfig};
 use d2stgnn_tensor::nn::Module;
@@ -20,7 +20,7 @@ fn graph_context() -> GraphContext {
     sim.num_nodes = 4;
     sim.num_steps = 64;
     sim.knn = 2;
-    GraphContext::new(&simulate(&sim).network)
+    GraphContext::new(&simulate(&sim).network, Some(2))
 }
 
 #[test]
@@ -37,10 +37,7 @@ fn gradcheck_diffusion_step() {
         use_adaptive: false,
     };
     let block = DiffusionBlock::new(cfg, &mut rng);
-    let transitions = Transitions::Static {
-        p_f: ctx.p_f().clone(),
-        p_b: ctx.p_b().clone(),
-    };
+    let transitions = ctx.static_transitions();
     let x = Tensor::constant(Array::randn(&[b, th, n, d], &mut rng).map(|v| v * 0.5));
 
     // Parameters: all three branches contribute to the scalar.
@@ -88,10 +85,7 @@ fn gradcheck_diffusion_step_with_adaptive_matrix() {
         use_adaptive: true,
     };
     let block = DiffusionBlock::new(cfg, &mut rng);
-    let transitions = Transitions::Static {
-        p_f: ctx.p_f().clone(),
-        p_b: ctx.p_b().clone(),
-    };
+    let transitions = ctx.static_transitions();
     // A fixed row-stochastic-ish adaptive matrix.
     let adaptive = Tensor::constant(Array::randn(&[n, n], &mut rng).map(|v| (v * 0.2).abs()));
     let x = Tensor::constant(Array::randn(&[b, th, n, d], &mut rng).map(|v| v * 0.5));

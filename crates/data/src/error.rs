@@ -27,23 +27,3 @@ impl From<std::io::Error> for IoError {
         IoError::Io(e)
     }
 }
-
-/// The crate's single panic funnel for unrecoverable invariant violations.
-///
-/// Construction keeps its documented panic-on-misuse contract, but every
-/// such abort goes through this one function so the `xlint` `no-panic` rule
-/// needs exactly one allowlist entry for the whole crate.
-#[cold]
-#[track_caller]
-pub(crate) fn violation(detail: impl fmt::Display) -> ! {
-    panic!("{detail}")
-}
-
-/// Unwrap a result whose failure is an internal invariant violation.
-#[track_caller]
-pub(crate) fn require<T, E: fmt::Display>(result: Result<T, E>, context: &str) -> T {
-    match result {
-        Ok(v) => v,
-        Err(e) => violation(format_args!("{context}: {e}")),
-    }
-}

@@ -16,7 +16,7 @@
 //! the decoupling framework actually separates them, which no real dataset
 //! allows.
 
-use d2stgnn_graph::{transition, CsrMatrix, SparseNetwork, TrafficNetwork};
+use d2stgnn_graph::{transition, SparseNetwork, TrafficNetwork};
 use d2stgnn_tensor::Array;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -427,21 +427,7 @@ pub fn simulate_city(config: &CityConfig) -> CityData {
     let mut ar: Vec<f32> = vec![0.0; n];
     let rho = 0.9f32;
 
-    // Masked sparse transition powers, mirroring
-    // `transition::masked_powers`: mask(P^k) for k = 1..=ks, where the
-    // powers themselves are unmasked.
-    let p_f = network.forward_transition();
-    let mut powers: Vec<CsrMatrix> = Vec::with_capacity(config.ks);
-    let mut unmasked = p_f.clone();
-    for k in 1..=config.ks {
-        if k > 1 {
-            unmasked = crate::error::require(
-                unmasked.matmul_sparse(&p_f),
-                "square transition powers always conform",
-            );
-        }
-        powers.push(unmasked.mask_diagonal());
-    }
+    let powers = transition::masked_powers_csr(&network.forward_transition(), config.ks);
 
     let mut values = Array::zeros(&[t_total, n]);
     let mut inherent_row: Vec<f32> = vec![0.0; n];
@@ -515,10 +501,7 @@ pub fn simulate_city(config: &CityConfig) -> CityData {
                 let lag_decay = 0.6f32.powi(tau as i32 - 1);
                 for (k_idx, p_k) in powers.iter().enumerate() {
                     let order_decay = 0.5f32.powi(k_idx as i32);
-                    let prop = crate::error::require(
-                        p_k.matmul(&dev),
-                        "transition and deviation shapes conform",
-                    ); // [N, 1]
+                    let prop = p_k.matmul(&dev); // [N, 1]
                     let scale = gamma_t * lag_decay * order_decay;
                     for (d, p) in diffusion_row.iter_mut().zip(prop.data()) {
                         *d += scale * p;

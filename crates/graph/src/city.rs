@@ -13,8 +13,7 @@
 use rand::Rng;
 
 use crate::error::GraphError;
-use crate::sparse::CsrMatrix;
-use crate::TrafficNetwork;
+use crate::{transition, CsrMatrix, TrafficNetwork};
 
 /// A directed, weighted road network stored sparsely: nodes are sensors,
 /// weights come from the same thresholded Gaussian kernel as
@@ -23,7 +22,7 @@ use crate::TrafficNetwork;
 #[derive(Clone, Debug)]
 pub struct SparseNetwork {
     n: usize,
-    /// CSR adjacency, row i = edges out of sensor i. Diagonal is zero.
+    /// CSR adjacency, row i = edges out of sensor i.
     adjacency: CsrMatrix,
     /// Sensor coordinates (used by the simulator and visualizations).
     coords: Vec<(f32, f32)>,
@@ -186,37 +185,41 @@ impl SparseNetwork {
 
     /// Forward transition matrix `P_f = D_O⁻¹ A` (row-normalized
     /// adjacency), sparse counterpart of
-    /// [`crate::transition::forward_transition`]. Produces bitwise the same
+    /// [`transition::forward_transition`]. Produces bitwise the same
     /// values as the dense path on the same adjacency: both accumulate each
     /// row's weights in column-ascending order, and skipping the dense
     /// zeros cannot change a finite sum.
     pub fn forward_transition(&self) -> CsrMatrix {
-        self.adjacency.row_normalize()
+        transition::row_normalize_csr(&self.adjacency)
     }
 
     /// Backward transition matrix `P_b = D_I⁻¹ Aᵀ`, sparse counterpart of
-    /// [`crate::transition::backward_transition`].
+    /// [`transition::backward_transition`].
     pub fn backward_transition(&self) -> CsrMatrix {
-        self.adjacency.transpose().row_normalize()
+        transition::row_normalize_csr(&self.adjacency.transpose())
     }
 
     /// `true` if every node has at least one in- or out-edge.
     pub fn has_no_isolated_nodes(&self) -> bool {
         let mut touched = vec![false; self.n];
-        let row_ptr = self.adjacency.as_sparse().row_ptr();
+        let row_ptr = self.adjacency.row_ptr();
         for r in 0..self.n {
             if row_ptr[r + 1] > row_ptr[r] {
                 touched[r] = true;
             }
         }
-        for &c in self.adjacency.as_sparse().col_idx() {
+        for &c in self.adjacency.col_idx() {
             touched[c] = true;
         }
         touched.iter().all(|&t| t)
     }
 
-    /// Build from a CSR adjacency directly (weights must be finite and
-    /// non-negative, diagonal zero).
+    /// Build from a CSR adjacency directly. The matrix must be square and
+    /// non-empty ([`GraphError::ShapeMismatch`]) with non-negative weights
+    /// ([`GraphError::NegativeWeight`]; [`CsrMatrix`] construction already
+    /// guarantees they are finite). `coords` is empty (nodes are placed on
+    /// a line) or holds one entry per node. Self-loops are accepted, as in
+    /// [`TrafficNetwork::from_adjacency`].
     pub fn from_csr(adjacency: CsrMatrix, coords: Vec<(f32, f32)>) -> Result<Self, GraphError> {
         let (rows, cols) = adjacency.shape();
         if rows != cols || rows == 0 {
@@ -226,8 +229,8 @@ impl SparseNetwork {
                 rhs: vec![rows, rows],
             });
         }
-        if adjacency.as_sparse().values().iter().any(|w| *w < 0.0) {
-            return Err(GraphError::NonFinite("negative adjacency weight"));
+        if adjacency.values().iter().any(|w| *w < 0.0) {
+            return Err(GraphError::NegativeWeight("CSR adjacency"));
         }
         let coords = if coords.is_empty() {
             (0..rows).map(|i| (i as f32, 0.0)).collect()
@@ -260,7 +263,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let net = SparseNetwork::random_city(500, 5, 0.05, &mut rng);
         assert_eq!(net.num_nodes(), 500);
-        let row_ptr = net.adjacency().as_sparse().row_ptr();
+        let row_ptr = net.adjacency().row_ptr();
         for r in 0..500 {
             assert!(row_ptr[r + 1] - row_ptr[r] <= 5, "degree bound violated");
         }
@@ -306,12 +309,12 @@ mod tests {
             order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             let expect: std::collections::BTreeSet<usize> =
                 order.iter().take(4).map(|&(j, _)| j).collect();
-            let got: std::collections::BTreeSet<usize> =
-                net.adjacency().as_sparse().col_idx()[net.adjacency().as_sparse().row_ptr()[i]
-                    ..net.adjacency().as_sparse().row_ptr()[i + 1]]
-                    .iter()
-                    .copied()
-                    .collect();
+            let adj = net.adjacency();
+            let got: std::collections::BTreeSet<usize> = adj.col_idx()
+                [adj.row_ptr()[i]..adj.row_ptr()[i + 1]]
+                .iter()
+                .copied()
+                .collect();
             assert_eq!(got, expect, "node {i} picked the wrong neighbours");
         }
     }
@@ -324,8 +327,8 @@ mod tests {
         assert_eq!(sparse_net.num_nodes(), 40);
         assert_eq!(sparse_net.num_edges(), dense_net.num_edges());
 
-        let p_f_dense = crate::transition::forward_transition(&dense_net.adjacency());
-        let p_b_dense = crate::transition::backward_transition(&dense_net.adjacency());
+        let p_f_dense = transition::forward_transition(&dense_net.adjacency());
+        let p_b_dense = transition::backward_transition(&dense_net.adjacency());
         assert_eq!(
             sparse_net.forward_transition().to_dense().data(),
             p_f_dense.data(),
@@ -343,7 +346,9 @@ mod tests {
         let rect = CsrMatrix::from_triplets(2, 3, &[(0, 1, 1.0)]).unwrap();
         assert!(SparseNetwork::from_csr(rect, vec![]).is_err());
         let neg = CsrMatrix::from_triplets(2, 2, &[(0, 1, -1.0)]).unwrap();
-        assert!(SparseNetwork::from_csr(neg, vec![]).is_err());
+        let err = SparseNetwork::from_csr(neg, vec![]).unwrap_err();
+        assert_eq!(err, GraphError::NegativeWeight("CSR adjacency"));
+        assert_eq!(err.to_string(), "CSR adjacency has negative weights");
         let ok = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 0.5)]).unwrap();
         let net = SparseNetwork::from_csr(ok, vec![]).unwrap();
         assert_eq!(net.num_nodes(), 2);

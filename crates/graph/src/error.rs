@@ -8,7 +8,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
     /// Two shapes are incompatible for the attempted operation (e.g. a
-    /// sparse × dense product whose inner dimensions disagree).
+    /// non-square CSR adjacency, or coordinates for the wrong node count).
     ShapeMismatch {
         /// Name of the operation.
         op: &'static str,
@@ -20,10 +20,9 @@ pub enum GraphError {
     /// A parameter that must be at least one (kernel size, node count) was
     /// zero.
     EmptyDimension(&'static str),
-    /// Non-finite (NaN/Inf) values where finite data is required — a
-    /// corrupted adjacency must fail loudly instead of poisoning every
-    /// diffusion step downstream.
-    NonFinite(&'static str),
+    /// Negative weights where a road adjacency needs non-negative ones: a
+    /// transition matrix built from them would not be a diffusion process.
+    NegativeWeight(&'static str),
 }
 
 impl fmt::Display for GraphError {
@@ -33,9 +32,7 @@ impl fmt::Display for GraphError {
                 write!(f, "{op}: incompatible shapes {lhs:?} and {rhs:?}")
             }
             GraphError::EmptyDimension(what) => write!(f, "{what} must be >= 1"),
-            GraphError::NonFinite(what) => {
-                write!(f, "{what} contains non-finite (NaN/Inf) values")
-            }
+            GraphError::NegativeWeight(what) => write!(f, "{what} has negative weights"),
         }
     }
 }

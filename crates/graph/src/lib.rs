@@ -4,7 +4,8 @@
 //! graphs built with the thresholded-Gaussian-kernel procedure of DCRNN, and
 //! the transition-matrix algebra (forward/backward transitions, diagonal-
 //! masked powers, spatial-temporal localized matrices of Eq. 4) that the
-//! diffusion model consumes.
+//! diffusion model consumes, for dense arrays and for the tensor crate's
+//! [`CsrMatrix`] alike.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -12,9 +13,9 @@
 pub mod city;
 pub mod error;
 mod network;
-pub mod sparse;
 pub mod transition;
 
 pub use city::SparseNetwork;
+/// The one CSR type, re-exported: [`SparseNetwork`] stores and returns it.
+pub use d2stgnn_tensor::CsrMatrix;
 pub use network::TrafficNetwork;
-pub use sparse::CsrMatrix;

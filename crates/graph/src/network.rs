@@ -231,6 +231,21 @@ mod tests {
     }
 
     #[test]
+    fn full_profile_adjacency_is_very_sparse() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let net = TrafficNetwork::random_geometric(207, 9, 0.05, &mut rng);
+        let s = crate::CsrMatrix::from_dense(&net.adjacency(), 0.0).unwrap();
+        assert!(s.sparsity() > 0.9, "sparsity {}", s.sparsity());
+        // spmm against the dense path on the real structure.
+        let x = Array::randn(&[207, 4], &mut rng);
+        let got = s.matmul(&x);
+        let expect = net.adjacency().matmul(&x);
+        for (a, b) in got.data().iter().zip(expect.data()) {
+            assert!((a - b).abs() < 1e-3);
+        }
+    }
+
+    #[test]
     fn serde_roundtrip() {
         let mut rng = StdRng::seed_from_u64(1);
         let net = TrafficNetwork::random_geometric(10, 3, 0.05, &mut rng);

@@ -5,8 +5,13 @@
 //! raises them to the powers `k = 1..k_s`, masks the diagonal (self-influence
 //! belongs to the *inherent* model), and tiles them over `k_t` time lags into
 //! the spatial-temporal localized transition matrix of Eq. 4.
+//!
+//! Row normalization and the masked power series exist twice: for dense
+//! arrays and, beside them, for the tensor crate's [`CsrMatrix`]. On the same
+//! values the two produce the same bits (see [`masked_powers_csr`]), so a
+//! caller picks the representation by sparsity alone.
 
-use d2stgnn_tensor::Array;
+use d2stgnn_tensor::{Array, CsrMatrix};
 
 /// Row-normalize a non-negative matrix: `P = M / rowsum(M)`.
 /// All-zero rows stay zero (an isolated sensor diffuses nothing).
@@ -25,6 +30,32 @@ pub fn row_normalize(m: &Array) -> Array {
         }
     }
     out
+}
+
+/// CSR twin of [`row_normalize`]: each row is divided by the sum of the
+/// **absolute values** of its entries, so mixed-sign and all-negative rows
+/// are scaled too — dividing by the signed sum would pass a row of negative
+/// weights through unnormalized. Zero rows stay zero. On non-negative
+/// matrices (every road adjacency) this is the dense function bit for bit:
+/// both accumulate a row in column-ascending order, and the dense zeros it
+/// skips cannot change a finite sum.
+pub fn row_normalize_csr(m: &CsrMatrix) -> CsrMatrix {
+    let (rows, cols) = m.shape();
+    let row_ptr = m.row_ptr();
+    let mut values = m.values().to_vec();
+    for r in 0..rows {
+        let row = &mut values[row_ptr[r]..row_ptr[r + 1]];
+        let sum: f32 = row.iter().map(|v| v.abs()).sum();
+        if sum > 0.0 {
+            for v in row {
+                *v /= sum;
+            }
+        }
+    }
+    crate::error::require(
+        CsrMatrix::from_raw(rows, cols, row_ptr.to_vec(), m.col_idx().to_vec(), values),
+        "row normalization keeps the CSR structure",
+    )
 }
 
 /// Forward transition matrix `P_f = A / rowsum(A)`.
@@ -65,6 +96,30 @@ pub fn masked_powers(p: &Array, ks: usize) -> Vec<Array> {
     (1..=ks)
         .map(|k| mask_diagonal(&matrix_power(p, k)))
         .collect()
+}
+
+/// CSR twin of [`masked_powers`]: the same `P^k · P` chain as
+/// [`matrix_power`], through spgemm, each power masked with
+/// [`CsrMatrix::mask_diagonal`]. Bit-identical to the dense series on the
+/// same values — spgemm accumulates every entry with the inner index
+/// ascending, like the dense matmul minus its zero terms — so the sparsity
+/// dispatch never changes a forecast.
+///
+/// # Panics
+/// If `p` is not square and `ks >= 2` (programming error).
+pub fn masked_powers_csr(p: &CsrMatrix, ks: usize) -> Vec<CsrMatrix> {
+    let mut powers = Vec::with_capacity(ks);
+    let mut power = p.clone();
+    for k in 1..=ks {
+        if k > 1 {
+            power = crate::error::require(
+                power.matmul_sparse(p),
+                "transition powers need a square matrix",
+            );
+        }
+        powers.push(power.mask_diagonal());
+    }
+    powers
 }
 
 /// The explicit spatial-temporal localized transition matrix of Eq. 4 for a
@@ -153,6 +208,72 @@ mod tests {
                 assert_eq!(pw.at(&[i, i]), 0.0);
             }
         }
+    }
+
+    #[test]
+    fn csr_and_dense_masked_powers_agree_bitwise() {
+        // Self-loops give every unmasked power a non-zero diagonal, so the
+        // mask changes values; node 4 is a sink (all-zero row of P_f).
+        #[rustfmt::skip]
+        let adj = Array::from_vec(&[5, 5], vec![
+            1.0, 2.0, 0.0, 0.5, 0.0,
+            0.0, 0.3, 1.0, 0.0, 0.0,
+            0.7, 0.0, 2.0, 1.2, 0.0,
+            0.0, 0.0, 0.0, 0.0, 1.0,
+            0.0, 0.0, 0.0, 0.0, 0.0,
+        ])
+        .unwrap();
+        let csr = CsrMatrix::from_dense(&adj, 0.0).unwrap();
+        let bits = |a: &Array| a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (dense_p, csr_p) in [
+            (forward_transition(&adj), row_normalize_csr(&csr)),
+            (
+                backward_transition(&adj),
+                row_normalize_csr(&csr.transpose()),
+            ),
+        ] {
+            assert_eq!(bits(&csr_p.to_dense()), bits(&dense_p));
+            for ks in 1..=4 {
+                let dense = masked_powers(&dense_p, ks);
+                let sparse = masked_powers_csr(&csr_p, ks);
+                assert_eq!((dense.len(), sparse.len()), (ks, ks));
+                for (k, (d, s)) in dense.iter().zip(&sparse).enumerate() {
+                    assert_eq!(bits(&s.to_dense()), bits(d), "ks = {ks}, k = {}", k + 1);
+                    assert!(matrix_power(&dense_p, k + 1).at(&[0, 0]) > 0.0);
+                    assert_eq!(d.at(&[0, 0]), 0.0);
+                }
+            }
+        }
+        assert_eq!(forward_transition(&adj).data()[20..25], [0.0; 5]);
+    }
+
+    #[test]
+    fn csr_row_normalize_and_mask() {
+        let d = Array::from_vec(&[2, 2], vec![1.0, 3.0, 0.0, 2.0]).unwrap();
+        let s = CsrMatrix::from_dense(&d, 0.0).unwrap();
+        let masked = s.mask_diagonal();
+        assert_eq!(masked.get(0, 0), 0.0);
+        assert_eq!(masked.get(1, 1), 0.0);
+        assert_eq!(masked.get(0, 1), 3.0);
+        let norm = row_normalize_csr(&s);
+        assert!((norm.get(0, 0) - 0.25).abs() < 1e-6);
+        assert!((norm.get(0, 1) - 0.75).abs() < 1e-6);
+        assert!((norm.get(1, 1) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn csr_row_normalize_handles_mixed_sign_rows() {
+        // Row 0 sums to zero, row 1 is all-negative: dividing by the signed
+        // sum would pass both through unnormalized.
+        let d = Array::from_vec(&[3, 2], vec![2.0, -2.0, -1.0, -3.0, 0.0, 0.0]).unwrap();
+        let norm = row_normalize_csr(&CsrMatrix::from_dense(&d, 0.0).unwrap());
+        assert!((norm.get(0, 0) - 0.5).abs() < 1e-6);
+        assert!((norm.get(0, 1) + 0.5).abs() < 1e-6);
+        assert!((norm.get(1, 0) + 0.25).abs() < 1e-6);
+        assert!((norm.get(1, 1) + 0.75).abs() < 1e-6);
+        // Zero rows stay zero.
+        assert_eq!(norm.get(2, 0), 0.0);
+        assert_eq!(norm.nnz(), 4);
     }
 
     #[test]

@@ -52,5 +52,5 @@ pub mod testing;
 pub use array::Array;
 pub use error::TensorError;
 pub use profile::{OpStat, ProfileReport, Tape};
-pub use sparse::SparseMatrix;
+pub use sparse::CsrMatrix;
 pub use tensor::{no_grad, Tensor};

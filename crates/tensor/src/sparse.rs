@@ -42,7 +42,7 @@ pub const SPMM_ROW_CHUNK: usize = 16;
 /// autograd backward closures capture the matrix without copying the
 /// non-zeros.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SparseMatrix {
+pub struct CsrMatrix {
     rows: usize,
     cols: usize,
     /// Row start offsets into `col_idx`/`values`; length `rows + 1`.
@@ -53,7 +53,7 @@ pub struct SparseMatrix {
     values: Arc<Vec<f32>>,
 }
 
-impl SparseMatrix {
+impl CsrMatrix {
     /// Build from raw CSR parts, validating every structural invariant:
     /// `row_ptr` must have `rows + 1` monotone entries starting at 0 and
     /// ending at the non-zero count, column indices must be in-bounds and
@@ -255,7 +255,7 @@ impl SparseMatrix {
 
     /// The transposed matrix, built with a counting sort over columns so the
     /// result is again a valid CSR (column-sorted within rows). O(nnz).
-    pub fn transpose(&self) -> SparseMatrix {
+    pub fn transpose(&self) -> CsrMatrix {
         let nnz = self.nnz();
         let mut row_ptr_t = vec![0usize; self.cols + 1];
         for &c in self.col_idx.iter() {
@@ -286,7 +286,7 @@ impl SparseMatrix {
     }
 
     /// Zero the diagonal without changing the stored structure.
-    pub fn mask_diagonal(&self) -> SparseMatrix {
+    pub fn mask_diagonal(&self) -> CsrMatrix {
         let mut values = self.values.as_ref().clone();
         for r in 0..self.rows.min(self.cols) {
             let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
@@ -307,7 +307,7 @@ impl SparseMatrix {
     /// accumulate with the inner index ascending — the same order as the
     /// dense matmul minus its zero terms, so values match the dense power
     /// bit-for-bit.
-    pub fn matmul_sparse(&self, other: &SparseMatrix) -> Result<SparseMatrix, TensorError> {
+    pub fn matmul_sparse(&self, other: &CsrMatrix) -> Result<CsrMatrix, TensorError> {
         if self.cols != other.rows {
             return Err(TensorError::ShapeMismatch {
                 op: "spgemm",
@@ -468,7 +468,7 @@ impl Tensor {
     /// itself receives no gradient — the sparse path is reserved for the
     /// static road-network transitions, which are constants (learned
     /// matrices stay on the dense path so their gradients flow).
-    pub fn spmm(matrix: &SparseMatrix, dense: &Tensor) -> Tensor {
+    pub fn spmm(matrix: &CsrMatrix, dense: &Tensor) -> Tensor {
         let _prof = crate::profile::op_scope("spmm");
         let value = dense.with_value(|x| matrix.matmul(x));
         // The transpose is only needed (and only paid for) when a gradient
@@ -490,7 +490,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn sparse_randn(rows: usize, cols: usize, keep: f32, seed: u64) -> (Array, SparseMatrix) {
+    fn sparse_randn(rows: usize, cols: usize, keep: f32, seed: u64) -> (Array, CsrMatrix) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut dense = Array::randn(&[rows, cols], &mut rng);
         for v in dense.data_mut() {
@@ -498,26 +498,48 @@ mod tests {
                 *v = 0.0;
             }
         }
-        let sparse = SparseMatrix::from_dense(&dense, 0.0).unwrap();
+        let sparse = CsrMatrix::from_dense(&dense, 0.0).unwrap();
         (dense, sparse)
     }
 
     #[test]
+    fn dense_round_trip_and_sparsity() {
+        let d =
+            Array::from_vec(&[3, 3], vec![0.0, 2.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0, 3.0]).unwrap();
+        let s = CsrMatrix::from_dense(&d, 0.0).unwrap();
+        assert_eq!(s.nnz(), 4);
+        assert_eq!(s.shape(), (3, 3));
+        assert_eq!(s.to_dense().data(), d.data());
+        assert_eq!(s.get(0, 1), 2.0);
+        assert_eq!(s.get(0, 0), 0.0);
+        assert!((s.sparsity() - 5.0 / 9.0).abs() < 1e-6);
+        // Entries at or below the threshold are dropped: only 2.0 and 3.0
+        // survive a threshold of 1.0.
+        assert_eq!(CsrMatrix::from_dense(&d, 1.0).unwrap().nnz(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn from_triplets_rejects_out_of_range() {
+        let _ = CsrMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]);
+    }
+
+    #[test]
     fn from_raw_validates_structure() {
-        let ok = SparseMatrix::from_raw(2, 3, vec![0, 1, 2], vec![2, 0], vec![1.0, 2.0]);
+        let ok = CsrMatrix::from_raw(2, 3, vec![0, 1, 2], vec![2, 0], vec![1.0, 2.0]);
         assert_eq!(ok.unwrap().get(0, 2), 1.0);
         // Bad row_ptr length.
-        assert!(SparseMatrix::from_raw(2, 3, vec![0, 1], vec![0], vec![1.0]).is_err());
+        assert!(CsrMatrix::from_raw(2, 3, vec![0, 1], vec![0], vec![1.0]).is_err());
         // Column out of bounds.
-        assert!(SparseMatrix::from_raw(1, 2, vec![0, 1], vec![2], vec![1.0]).is_err());
+        assert!(CsrMatrix::from_raw(1, 2, vec![0, 1], vec![2], vec![1.0]).is_err());
         // Columns not strictly increasing within a row.
         assert!(
-            SparseMatrix::from_raw(1, 3, vec![0, 2], vec![1, 1], vec![1.0, 2.0]).is_err(),
+            CsrMatrix::from_raw(1, 3, vec![0, 2], vec![1, 1], vec![1.0, 2.0]).is_err(),
             "duplicate column must be rejected"
         );
         // Non-finite value.
         assert_eq!(
-            SparseMatrix::from_raw(1, 1, vec![0, 1], vec![0], vec![f32::NAN]),
+            CsrMatrix::from_raw(1, 1, vec![0, 1], vec![0], vec![f32::NAN]),
             Err(TensorError::NonFinite {
                 op: "sparse_from_raw"
             })
@@ -529,22 +551,21 @@ mod tests {
         let mut a = Array::zeros(&[2, 2]);
         a.data_mut()[1] = f32::INFINITY;
         assert_eq!(
-            SparseMatrix::from_dense(&a, 0.0),
+            CsrMatrix::from_dense(&a, 0.0),
             Err(TensorError::NonFinite {
                 op: "sparse_from_dense"
             })
         );
         a.data_mut()[1] = f32::NAN;
-        assert!(SparseMatrix::from_dense(&a, 10.0).is_err());
+        assert!(CsrMatrix::from_dense(&a, 10.0).is_err());
     }
 
     #[test]
     fn from_triplets_sums_duplicates_and_rejects_non_finite() {
-        let s =
-            SparseMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (0, 1, 2.0), (1, 0, 4.0)]).unwrap();
+        let s = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (0, 1, 2.0), (1, 0, 4.0)]).unwrap();
         assert_eq!(s.get(0, 1), 3.0);
         assert_eq!(s.nnz(), 2);
-        assert!(SparseMatrix::from_triplets(1, 1, &[(0, 0, f32::NAN)]).is_err());
+        assert!(CsrMatrix::from_triplets(1, 1, &[(0, 0, f32::NAN)]).is_err());
     }
 
     #[test]
@@ -565,6 +586,12 @@ mod tests {
         let bad = Array::zeros(&[5, 3]);
         assert!(matches!(
             sparse.try_matmul(&bad),
+            Err(TensorError::ShapeMismatch { op: "spmm", .. })
+        ));
+        // A batched operand must match on its middle (inner) axis.
+        let bad_batched = Array::zeros(&[2, 5, 3]);
+        assert!(matches!(
+            sparse.try_matmul(&bad_batched),
             Err(TensorError::ShapeMismatch { op: "spmm", .. })
         ));
         let bad_rank = Array::zeros(&[4]);
@@ -604,8 +631,7 @@ mod tests {
 
     #[test]
     fn mask_diagonal_zeroes_in_place() {
-        let s =
-            SparseMatrix::from_triplets(2, 2, &[(0, 0, 3.0), (0, 1, 2.0), (1, 1, 4.0)]).unwrap();
+        let s = CsrMatrix::from_triplets(2, 2, &[(0, 0, 3.0), (0, 1, 2.0), (1, 1, 4.0)]).unwrap();
         let m = s.mask_diagonal();
         assert_eq!(m.get(0, 0), 0.0);
         assert_eq!(m.get(1, 1), 0.0);
@@ -650,7 +676,7 @@ mod tests {
     #[test]
     fn empty_rows_contribute_nothing() {
         // Row 1 has no non-zeros; its output must stay exactly zero.
-        let s = SparseMatrix::from_triplets(3, 3, &[(0, 1, 2.0), (2, 0, 1.0)]).unwrap();
+        let s = CsrMatrix::from_triplets(3, 3, &[(0, 1, 2.0), (2, 0, 1.0)]).unwrap();
         let x = Array::ones(&[3, 4]);
         let y = s.matmul(&x);
         assert_eq!(&y.data()[4..8], &[0.0; 4]);

@@ -14,7 +14,7 @@
 
 use std::process::Command;
 
-use d2stgnn_tensor::{pool, Array, SparseMatrix, Tensor};
+use d2stgnn_tensor::{pool, Array, CsrMatrix, Tensor};
 
 /// When set, `child_emit_workload` runs the workload and writes its output
 /// bytes to the file this variable names; unset, that test is a no-op.
@@ -76,13 +76,13 @@ fn workload() -> Vec<f32> {
     // dense operand reused from the pool-spanning shapes above. The 0.25
     // threshold leaves ~half the entries stored so rows mix kept and
     // skipped terms; `fill` guarantees empty rows via its exact zeros.
-    let s = SparseMatrix::from_dense(&arr(&[37, 29], 13), 0.25).unwrap();
+    let s = CsrMatrix::from_dense(&arr(&[37, 29], 13), 0.25).unwrap();
     out.extend_from_slice(s.matmul(&arr(&[29, 41], 14)).data());
-    let sb = SparseMatrix::from_dense(&arr(&[19, 23], 15), 0.25).unwrap();
+    let sb = CsrMatrix::from_dense(&arr(&[19, 23], 15), 0.25).unwrap();
     out.extend_from_slice(sb.matmul(&arr(&[3, 23, 17], 16)).data());
     // Sparse-sparse products and transposition feed the same accumulators
     // the autograd backward path uses.
-    let sq = SparseMatrix::from_dense(&arr(&[29, 29], 17), 0.25).unwrap();
+    let sq = CsrMatrix::from_dense(&arr(&[29, 29], 17), 0.25).unwrap();
     let prod = sq.matmul_sparse(&sq.transpose()).unwrap().to_dense();
     out.extend_from_slice(prod.data());
 

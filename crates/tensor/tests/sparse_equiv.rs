@@ -3,7 +3,7 @@
 //! tolerance, because the sparse paths only ever *skip* zero terms of the
 //! same k-ascending accumulation the dense kernels perform.
 
-use d2stgnn_tensor::{Array, SparseMatrix};
+use d2stgnn_tensor::{Array, CsrMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,7 +15,7 @@ fn sparse_dense_pair(
     cols: usize,
     zero_prob: f64,
     rng: &mut StdRng,
-) -> (SparseMatrix, Array) {
+) -> (CsrMatrix, Array) {
     use rand::Rng;
     let data: Vec<f32> = (0..rows * cols)
         .map(|_| {
@@ -27,7 +27,7 @@ fn sparse_dense_pair(
         })
         .collect();
     let dense = Array::from_vec(&[rows, cols], data).unwrap();
-    let sparse = SparseMatrix::from_dense(&dense, 0.0).unwrap();
+    let sparse = CsrMatrix::from_dense(&dense, 0.0).unwrap();
     (sparse, dense)
 }
 
@@ -124,7 +124,7 @@ proptest! {
                 dense.set(&[i, j], acc);
             }
         }
-        let sparse = SparseMatrix::from_triplets(r, c, &triplets).unwrap().to_dense();
+        let sparse = CsrMatrix::from_triplets(r, c, &triplets).unwrap().to_dense();
         prop_assert_eq!(sparse.data(), dense.data());
     }
 }
@@ -138,7 +138,7 @@ fn empty_rows_and_columns_roundtrip() {
         vec![1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0],
     )
     .unwrap();
-    let sparse = SparseMatrix::from_dense(&dense, 0.0).unwrap();
+    let sparse = CsrMatrix::from_dense(&dense, 0.0).unwrap();
     assert_eq!(sparse.nnz(), 3);
     let x = Array::from_vec(&[3, 2], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
     let got = sparse.matmul(&x);

@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+# perfbench/ is its own workspace, so the builds above never compile it; an
+# API change would otherwise first surface as a failed benchmark run.
+echo "==> perfbench compiles (untraced and traced)"
+cargo check --manifest-path perfbench/Cargo.toml --all-targets --target-dir target/perfbench-check
+cargo check --manifest-path perfbench/Cargo.toml --all-targets --features trace --target-dir target/perfbench-check
+
 echo "==> cargo test -q"
 cargo test -q
 
