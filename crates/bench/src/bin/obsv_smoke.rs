@@ -8,8 +8,7 @@
 //!   (`type`/`name`/`id`/`parent`/`ts_us`, plus `dur_us` on spans);
 //! * at least two `d2stgnn_core_train_epoch` spans and all three serve
 //!   stage spans (`batch`/`forward`/`postprocess`) are present;
-//! * the Prometheus dump exposes `d2stgnn_serve_requests_total` and a
-//!   `quantile="0.99"` summary line;
+//! * the Prometheus dump exposes a `quantile="0.99"` summary line;
 //! * the tape profiler counted ops during training.
 //!
 //! It then runs an HTTP phase: one forecast through the full front-end
@@ -18,7 +17,9 @@
 //! request span, the router span, the serve queue-wait event, and the batch
 //! span's links; that `/debug/traces` retains the trace with all six stage
 //! durations (parse, route, queue_wait, batch_fuse, forward, postprocess);
-//! and that `/slo` and the exemplar-bearing `/metrics` render validly.
+//! that `/slo` and the exemplar-bearing `/metrics` render validly; and that
+//! `/metrics` carries the shard's `d2stgnn_serve_*` series and declares each
+//! family once under a valid Prometheus name.
 //!
 //! Exits non-zero on any failure, so CI can gate on it. Run with:
 //! `cargo run -p d2stgnn-bench --features obsv --bin obsv_smoke`
@@ -111,10 +112,6 @@ mod smoke {
         let (lines, epoch_spans) = validate_jsonl(&text);
         validate_trace_lines(&text);
         let prom = d2stgnn_obsv::render_prometheus();
-        assert!(
-            prom.contains("d2stgnn_serve_requests_total"),
-            "prometheus dump missing serve request counter"
-        );
         assert!(
             prom.contains("quantile=\"0.99\""),
             "prometheus dump missing p99 quantile"
@@ -296,8 +293,38 @@ mod smoke {
             prom.contains("d2stgnn_httpd_tenant_requests_total{tenant=\"anonymous\"}"),
             "per-tenant counter missing from /metrics"
         );
+        // Serve counters live in the shard and reach /metrics per shard.
+        assert!(
+            prom.contains("d2stgnn_serve_requests_total{shard=\"0\"} 1\n"),
+            "shard 0's serve request counter missing from /metrics:\n{prom}"
+        );
+        validate_families(prom);
 
         http.shutdown().expect("front-end shutdown");
+    }
+
+    /// Every metric family is declared once, under a name Prometheus
+    /// accepts (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
+    fn validate_families(prom: &str) {
+        let mut seen = std::collections::BTreeSet::new();
+        for line in prom.lines() {
+            let mut words = line.split_whitespace();
+            if (words.next(), words.next()) != (Some("#"), Some("TYPE")) {
+                continue;
+            }
+            let name = words.next().unwrap_or_default();
+            let valid = name.chars().enumerate().all(|(i, c)| {
+                c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit())
+            });
+            assert!(
+                !name.is_empty() && valid,
+                "invalid metric name in /metrics: {line}"
+            );
+            assert!(
+                seen.insert(name),
+                "family {name} declared twice in /metrics"
+            );
+        }
     }
 
     /// The retained `/debug/traces` entry for [`TRACE_ID`] carries all six
@@ -340,7 +367,7 @@ mod smoke {
     fn validate_trace_lines(text: &str) {
         let mut seen = [false; 4];
         const WHERE: [&str; 4] = [
-            "httpd.request span",
+            "d2stgnn_httpd_request span",
             "d2stgnn_httpd_route span",
             "d2stgnn_serve_queue_wait event",
             "d2stgnn_serve_batch span links",
@@ -360,7 +387,7 @@ mod smoke {
             let field_is_trace =
                 |key: &str| matches!(obj_get(fields, key), Some(Value::String(s)) if s == TRACE_ID);
             match name.as_str() {
-                "httpd.request" if field_is_trace("trace_id") => seen[0] = true,
+                "d2stgnn_httpd_request" if field_is_trace("trace_id") => seen[0] = true,
                 "d2stgnn_httpd_route" if field_is_trace("trace_id") => seen[1] = true,
                 "d2stgnn_serve_queue_wait" if field_is_trace("trace_id") => {
                     assert!(

@@ -18,7 +18,8 @@
 //!   exceeds its rate.
 //!
 //! Routes: `POST /v1/forecast`, `GET /healthz`, `GET /models`,
-//! `GET /metrics` (Prometheus text, including the workspace telemetry
+//! `GET /metrics` (Prometheus text: this server's counters and each
+//! shard's serve counters in every build, plus the workspace telemetry
 //! registry when the `obsv` feature is on), `GET /debug/traces`
 //! (tail-sampled request traces with per-stage durations), and `GET /slo`
 //! (availability/latency burn rates).

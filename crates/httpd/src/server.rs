@@ -24,14 +24,14 @@ use crate::http::{Request, Response};
 use crate::parser::{ParserLimits, RequestParser};
 use crate::quota::{retry_after_header_secs, QuotaConfig, QuotaDecision, TenantQuotas};
 use crate::router::{RouteKey, ShardRouter};
-use d2stgnn_obsv::TraceHandle;
+use d2stgnn_obsv::{write_sample, write_type, Counter, TraceHandle};
 use d2stgnn_serve::lockorder::{self, OrderedMutex};
-use d2stgnn_serve::{InferRequest, ServeError};
+use d2stgnn_serve::{InferRequest, ServeError, ServerStats};
 use d2stgnn_tensor::Array;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -92,18 +92,19 @@ impl Default for HttpdConfig {
 }
 
 /// Monotonic front-end counters (lock-free; see [`HttpdStatsSnapshot`]).
+/// This server's `/metrics` is their only exporter.
 #[derive(Debug, Default)]
 struct HttpdStats {
-    connections_accepted: AtomicU64,
-    connections_dropped: AtomicU64,
-    requests: AtomicU64,
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
-    quota_denied: AtomicU64,
-    shed: AtomicU64,
-    parse_errors: AtomicU64,
-    read_timeouts: AtomicU64,
+    connections_accepted: Counter,
+    connections_dropped: Counter,
+    requests: Counter,
+    responses_2xx: Counter,
+    responses_4xx: Counter,
+    responses_5xx: Counter,
+    quota_denied: Counter,
+    shed: Counter,
+    parse_errors: Counter,
+    read_timeouts: Counter,
 }
 
 /// Point-in-time copy of the front-end counters.
@@ -134,17 +135,16 @@ pub struct HttpdStatsSnapshot {
 impl HttpdStats {
     fn snapshot(&self) -> HttpdStatsSnapshot {
         HttpdStatsSnapshot {
-            // relaxed: point-in-time snapshot; counters are independent and tearing across them only blurs one report
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_dropped: self.connections_dropped.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            responses_2xx: self.responses_2xx.load(Ordering::Relaxed),
-            responses_4xx: self.responses_4xx.load(Ordering::Relaxed),
-            responses_5xx: self.responses_5xx.load(Ordering::Relaxed),
-            quota_denied: self.quota_denied.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            parse_errors: self.parse_errors.load(Ordering::Relaxed),
-            read_timeouts: self.read_timeouts.load(Ordering::Relaxed),
+            connections_accepted: self.connections_accepted.get(),
+            connections_dropped: self.connections_dropped.get(),
+            requests: self.requests.get(),
+            responses_2xx: self.responses_2xx.get(),
+            responses_4xx: self.responses_4xx.get(),
+            responses_5xx: self.responses_5xx.get(),
+            quota_denied: self.quota_denied.get(),
+            shed: self.shed.get(),
+            parse_errors: self.parse_errors.get(),
+            read_timeouts: self.read_timeouts.get(),
         }
     }
 }
@@ -162,8 +162,9 @@ struct Shared {
     quotas: Option<TenantQuotas>,
     /// Accepted connections waiting for a worker (bounded by config).
     conns: OrderedMutex<VecDeque<TcpStream>>,
-    /// Tenant → forecast request/shed counts (bounded, leaf-only lock).
-    tenants: OrderedMutex<HashMap<String, TenantCounters>>,
+    /// Tenant → forecast request/shed counts (bounded, leaf-only lock;
+    /// name-ordered, so `/metrics` lists tenants in a stable order).
+    tenants: OrderedMutex<BTreeMap<String, TenantCounters>>,
     notify: Condvar,
     shutdown: AtomicBool,
     stats: HttpdStats,
@@ -208,7 +209,7 @@ impl HttpServer {
             config,
             router,
             conns: OrderedMutex::new("httpd.conns", VecDeque::new()),
-            tenants: OrderedMutex::new("httpd.tenant.counters", HashMap::new()),
+            tenants: OrderedMutex::new("httpd.tenant.counters", BTreeMap::new()),
             notify: Condvar::new(),
             shutdown: AtomicBool::new(false),
             stats: HttpdStats::default(),
@@ -316,11 +317,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 }
                 match stream {
                     None => {
-                        shared
-                            .stats
-                            .connections_accepted
-                            // relaxed: monotonic stats counter; no other memory is published through it
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.stats.connections_accepted.add(1);
                         d2stgnn_obsv::gauge_set!("d2stgnn_httpd_pending_connections", depth as f64);
                         shared.notify.notify_one();
                     }
@@ -328,12 +325,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                         // Queue full: shed at the door with an honest 503 so
                         // the client backs off instead of waiting on an
                         // unclaimed socket.
-                        shared
-                            .stats
-                            .connections_dropped
-                            // relaxed: monotonic stats counter; no other memory is published through it
-                            .fetch_add(1, Ordering::Relaxed);
-                        d2stgnn_obsv::counter_add!("d2stgnn_httpd_connections_dropped_total", 1);
+                        shared.stats.connections_dropped.add(1);
                         let _ = rejected.set_write_timeout(Some(shared.config.write_timeout));
                         // Even a door-shed reply gets a (minted) request id,
                         // and the shed trace is retained for `/debug/traces`.
@@ -388,7 +380,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let mut span = d2stgnn_obsv::span!("httpd.connection");
+    let mut span = d2stgnn_obsv::span!("d2stgnn_httpd_connection");
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let _ = stream.set_nodelay(true);
@@ -428,8 +420,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
                 {
-                    // relaxed: monotonic stats counter; no other memory is published through it
-                    shared.stats.read_timeouts.fetch_add(1, Ordering::Relaxed);
+                    shared.stats.read_timeouts.add(1);
                     if parser.buffered() > 0 {
                         // Stalled mid-request: tell the peer before closing.
                         // No request line means no inbound id; mint one so
@@ -480,8 +471,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 }
             }
             Err(parse) => {
-                // relaxed: monotonic stats counter; no other memory is published through it
-                shared.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
+                shared.stats.parse_errors.add(1);
                 count_status(shared, parse.status);
                 // A malformed head may hide the inbound id; mint one so the
                 // 4xx still carries an echoable identity.
@@ -510,8 +500,7 @@ fn count_status(shared: &Arc<Shared>, status: u16) {
         400..=499 => &shared.stats.responses_4xx,
         _ => &shared.stats.responses_5xx,
     };
-    // relaxed: monotonic stats counter; no other memory is published through it
-    counter.fetch_add(1, Ordering::Relaxed);
+    counter.add(1);
 }
 
 fn handle_request(
@@ -521,13 +510,13 @@ fn handle_request(
     trace: &TraceHandle,
 ) -> Response {
     let started = Instant::now();
-    let mut span = d2stgnn_obsv::span!("httpd.request");
+    // The span's `d2stgnn_httpd_request_seconds` histogram times the
+    // exchange and keeps the slowest request's id as its exemplar.
+    let mut span = d2stgnn_obsv::span!("d2stgnn_httpd_request");
     d2stgnn_obsv::record!(span, trace_id = rid);
     d2stgnn_obsv::record!(span, method = request.method.as_str());
     d2stgnn_obsv::record!(span, path = request.path());
-    // relaxed: monotonic stats counter; no other memory is published through it
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    d2stgnn_obsv::counter_add!("d2stgnn_httpd_requests_total", 1);
+    shared.stats.requests.add(1);
 
     let response = match (request.method.as_str(), request.path()) {
         ("GET", "/healthz") => health(shared),
@@ -541,12 +530,9 @@ fn handle_request(
         }
         _ => Response::error(404, "no such route"),
     };
-    let elapsed = started.elapsed();
     d2stgnn_obsv::record!(span, status = u64::from(response.status));
-    // The latency histogram keeps the slowest request's id as its exemplar,
-    // and every exchange feeds the availability/latency SLO windows.
-    d2stgnn_obsv::observe_exemplar!("d2stgnn_httpd_request_seconds", elapsed.as_secs_f64(), rid);
-    d2stgnn_obsv::slo_record(response.status, elapsed);
+    // Every exchange feeds the availability/latency SLO windows.
+    d2stgnn_obsv::slo_record(response.status, started.elapsed());
     response
 }
 
@@ -589,89 +575,89 @@ fn tenant_tally(shared: &Arc<Shared>, tenant: &str, shed: bool) {
     }
 }
 
-/// Render the per-tenant counters in Prometheus text format. Tenant names
-/// come straight off the wire, so label values go through
-/// [`d2stgnn_obsv::escape_label_value`]; rows are name-sorted for a stable
-/// exposition.
-fn render_tenant_metrics(shared: &Arc<Shared>, out: &mut String) {
-    let mut rows: Vec<(String, TenantCounters)> = {
-        let tenants = shared.tenants.lock();
-        tenants.iter().map(|(k, v)| (k.clone(), *v)).collect()
-    };
-    if rows.is_empty() {
-        return;
-    }
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    for (metric, pick) in [
-        (
-            "d2stgnn_httpd_tenant_requests_total",
-            (|c| c.requests) as fn(&TenantCounters) -> u64,
-        ),
-        ("d2stgnn_httpd_tenant_shed_total", |c| c.shed),
-    ] {
-        out.push_str("# TYPE ");
-        out.push_str(metric);
-        out.push_str(" counter\n");
-        for (name, counts) in &rows {
-            out.push_str(metric);
-            out.push_str("{tenant=\"");
-            out.push_str(&d2stgnn_obsv::escape_label_value(name));
-            out.push_str("\"} ");
-            out.push_str(&pick(counts).to_string());
-            out.push('\n');
-        }
-    }
-}
-
+/// `GET /metrics`: this server's counters, each router shard's serve
+/// counters labelled `shard="<id>"`, the per-tenant tallies, then the
+/// process-wide obsv registry (empty when the `obsv` feature is off). Each
+/// counter is read from the instance that owns it, and every line goes
+/// through obsv's two line writers.
 fn metrics(shared: &Arc<Shared>) -> Response {
+    let mut out = String::with_capacity(2048);
     let snap = shared.stats.snapshot();
-    let mut out = String::with_capacity(1024);
-    let mut counter = |name: &str, value: u64| {
-        out.push_str("# TYPE ");
-        out.push_str(name);
-        out.push_str(" counter\n");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&value.to_string());
-        out.push('\n');
-    };
-    counter(
-        "d2stgnn_httpd_connections_accepted_total",
-        snap.connections_accepted,
-    );
-    counter(
-        "d2stgnn_httpd_connections_dropped_total",
-        snap.connections_dropped,
-    );
-    counter("d2stgnn_httpd_requests_total", snap.requests);
-    counter("d2stgnn_httpd_responses_2xx_total", snap.responses_2xx);
-    counter("d2stgnn_httpd_responses_4xx_total", snap.responses_4xx);
-    counter("d2stgnn_httpd_responses_5xx_total", snap.responses_5xx);
-    counter("d2stgnn_httpd_quota_denied_total", snap.quota_denied);
-    counter("d2stgnn_httpd_shed_total", snap.shed);
-    counter("d2stgnn_httpd_parse_errors_total", snap.parse_errors);
-    counter("d2stgnn_httpd_read_timeouts_total", snap.read_timeouts);
-    let mut gauge = |name: &str, value: u64| {
-        out.push_str("# TYPE ");
-        out.push_str(name);
-        out.push_str(" gauge\n");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&value.to_string());
-        out.push('\n');
-    };
-    gauge("d2stgnn_httpd_shards", shared.router.shard_count() as u64);
-    gauge(
-        "d2stgnn_httpd_shard_queue_depth",
-        shared.router.total_queue_depth() as u64,
-    );
-    // Per-tenant labeled counters (escaped: tenant names are wire input).
-    render_tenant_metrics(shared, &mut out);
-    // Refresh the d2stgnn_slo_* gauges, then append the workspace-wide
-    // telemetry registry (both no-ops when the obsv feature is off).
+    for (name, value) in [
+        (
+            "d2stgnn_httpd_connections_accepted_total",
+            snap.connections_accepted,
+        ),
+        (
+            "d2stgnn_httpd_connections_dropped_total",
+            snap.connections_dropped,
+        ),
+        ("d2stgnn_httpd_requests_total", snap.requests),
+        ("d2stgnn_httpd_responses_2xx_total", snap.responses_2xx),
+        ("d2stgnn_httpd_responses_4xx_total", snap.responses_4xx),
+        ("d2stgnn_httpd_responses_5xx_total", snap.responses_5xx),
+        ("d2stgnn_httpd_quota_denied_total", snap.quota_denied),
+        ("d2stgnn_httpd_shed_total", snap.shed),
+        ("d2stgnn_httpd_parse_errors_total", snap.parse_errors),
+        ("d2stgnn_httpd_read_timeouts_total", snap.read_timeouts),
+    ] {
+        write_type(&mut out, name, "counter");
+        write_sample(&mut out, name, &[], value as f64);
+    }
+    let shards = shared.router.shard_stats();
+    write_type(&mut out, "d2stgnn_httpd_shards", "gauge");
+    write_sample(&mut out, "d2stgnn_httpd_shards", &[], shards.len() as f64);
+    let serve: [Family<ServerStats>; 7] = [
+        ("d2stgnn_serve_requests_total", "counter", |s| s.requests),
+        ("d2stgnn_serve_completed_total", "counter", |s| s.completed),
+        ("d2stgnn_serve_sheds_total", "counter", |s| s.sheds),
+        ("d2stgnn_serve_fallback_total", "counter", |s| {
+            s.fallback_served
+        }),
+        ("d2stgnn_serve_deadline_misses_total", "counter", |s| {
+            s.deadline_misses
+        }),
+        ("d2stgnn_serve_batches_total", "counter", |s| s.batches),
+        ("d2stgnn_serve_queue_depth", "gauge", |s| s.queue_depth),
+    ];
+    for family in serve {
+        write_family(&mut out, family, "shard", &shards);
+    }
+    let tenants: Vec<_> = shared.tenants.lock().clone().into_iter().collect();
+    let per_tenant: [Family<TenantCounters>; 2] = [
+        ("d2stgnn_httpd_tenant_requests_total", "counter", |c| {
+            c.requests
+        }),
+        ("d2stgnn_httpd_tenant_shed_total", "counter", |c| c.shed),
+    ];
+    for family in per_tenant {
+        write_family(&mut out, family, "tenant", &tenants);
+    }
+    // Refresh the d2stgnn_slo_* gauges, then append the registry.
     d2stgnn_obsv::publish_slo_gauges();
     out.push_str(&d2stgnn_obsv::render_prometheus());
     Response::text(200, out)
+}
+
+/// A labelled `/metrics` family: its name, its Prometheus type, and the
+/// row field it reports.
+type Family<T> = (&'static str, &'static str, fn(&T) -> u64);
+
+/// Write one labelled family: its type line, then one sample per row
+/// labelled `<label>="<row key>"`. A family with no rows is left out.
+fn write_family<K: ToString, T>(
+    out: &mut String,
+    (name, kind, pick): Family<T>,
+    label: &str,
+    rows: &[(K, T)],
+) {
+    if rows.is_empty() {
+        return;
+    }
+    write_type(out, name, kind);
+    for (key, row) in rows {
+        write_sample(out, name, &[(label, &key.to_string())], pick(row) as f64);
+    }
 }
 
 fn forecast(shared: &Arc<Shared>, request: &Request, rid: &str, trace: &TraceHandle) -> Response {
@@ -679,9 +665,7 @@ fn forecast(shared: &Arc<Shared>, request: &Request, rid: &str, trace: &TraceHan
     tenant_tally(shared, tenant, false);
     if let Some(quotas) = &shared.quotas {
         if let QuotaDecision::Denied { retry_after } = quotas.check(tenant) {
-            // relaxed: monotonic stats counter; no other memory is published through it
-            shared.stats.quota_denied.fetch_add(1, Ordering::Relaxed);
-            d2stgnn_obsv::counter_add!("d2stgnn_httpd_quota_denied_total", 1);
+            shared.stats.quota_denied.add(1);
             // Header: the bucket's actual next-refill time, rounded up to
             // whole seconds. Body: the same figure precisely, plus the
             // request id so the throttled client can quote it.
@@ -714,9 +698,7 @@ fn forecast(shared: &Arc<Shared>, request: &Request, rid: &str, trace: &TraceHan
     // Admission control: shed before enqueueing when the shard queue is at
     // capacity, so the bounded serve queue never sees the overflow.
     if server.is_overloaded() {
-        // relaxed: monotonic stats counter; no other memory is published through it
-        shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-        d2stgnn_obsv::counter_add!("d2stgnn_httpd_shed_total", 1);
+        shared.stats.shed.add(1);
         tenant_tally(shared, tenant, true);
         trace.mark_shed();
         return Response::error(503, "shard queue full, request shed")
@@ -783,9 +765,7 @@ fn forecast(shared: &Arc<Shared>, request: &Request, rid: &str, trace: &TraceHan
 fn serve_error_response(shared: &Arc<Shared>, tenant: &str, e: &ServeError) -> Response {
     match e {
         ServeError::Overloaded => {
-            // relaxed: monotonic stats counter; no other memory is published through it
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            d2stgnn_obsv::counter_add!("d2stgnn_httpd_shed_total", 1);
+            shared.stats.shed.add(1);
             tenant_tally(shared, tenant, true);
             Response::error(503, "shard queue full, request shed")
                 .with_header("Retry-After", shared.config.retry_after_secs)

@@ -19,7 +19,9 @@
 //! * **Prometheus exposition** ([`render_prometheus`]) — the registry
 //!   rendered in the Prometheus text format (counters, gauges, and
 //!   summaries with `quantile="0.5|0.95|0.99"` labels), with exemplar
-//!   trace ids on `_count` lines when histograms carry them.
+//!   trace ids on `_count` lines when histograms carry them. Its two line
+//!   writers, [`write_type`] and [`write_sample`], are public so a front
+//!   end exports its own instances' counters through the same code.
 //! * **Request traces** ([`TraceHandle`], [`make_request_id`]) — one
 //!   request-scoped context minted at the HTTP door and passed explicitly
 //!   through the serving envelope; tail-based sampling retains slow,
@@ -30,20 +32,25 @@
 //!
 //! ## The `enabled` feature
 //!
-//! Everything is gated behind the `enabled` cargo feature (downstream crates
-//! forward their own `obsv` feature to it). Every macro expands to
+//! The macros are gated behind the `enabled` cargo feature (downstream
+//! crates forward their own `obsv` feature to it). Every macro expands to
 //! `if d2stgnn_obsv::enabled() { .. }` where [`enabled`] is a `const fn`, so
 //! a disabled build folds the whole call — including argument evaluation —
 //! to nothing: no registry entries are created, no clocks are read, no sink
 //! is touched. The API surface itself stays available in both builds so
 //! callers compile identically.
 //!
+//! The registry is process-wide, so it holds process-wide telemetry only
+//! (span and stage histograms, tensor and core counters). A counter that
+//! belongs to one instance, such as a serve `Server`, lives in that
+//! instance as a [`Counter`] cell and is exported with [`write_sample`].
+//!
 //! ## Naming convention
 //!
 //! Metric and span names follow `d2stgnn_<crate>_<subsystem>_<name>`, e.g.
-//! `d2stgnn_serve_requests_total` or `d2stgnn_core_train_epoch`. Counters
+//! `d2stgnn_tensor_pool_tasks_total` or `d2stgnn_core_train_epoch`. Counters
 //! end in `_total`, histograms of durations in `_seconds`, gauges name the
-//! quantity directly (`d2stgnn_serve_queue_depth`).
+//! quantity directly (`d2stgnn_serve_in_flight`).
 //!
 //! ```
 //! let _guard = d2stgnn_obsv::span!("d2stgnn_doc_example", answer = 42u64);
@@ -67,7 +74,7 @@ pub use error::ObsvError;
 pub use metrics::{
     registry, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
-pub use prometheus::{escape_label_value, render_prometheus, render_prometheus_for};
+pub use prometheus::{render_prometheus, render_prometheus_for, write_sample, write_type};
 pub use sink::{dropped_lines, flush, init_jsonl, set_writer, shutdown};
 pub use slo::{
     clear_slo, publish_slo_gauges, render_slo_json, slo_record, slo_snapshot, SloSnapshot,

@@ -4,6 +4,10 @@
 //! Prometheus *summaries* (pre-computed `quantile="0.5|0.95|0.99"` series
 //! plus `_sum` and `_count`), since the log-bucket layout is an internal
 //! detail and the quantile estimates are what dashboards consume.
+//!
+//! [`write_type`] and [`write_sample`] are the only code that writes
+//! exposition lines: the registry renderer uses them, and so does every
+//! front end that exports its own instance's counters.
 
 use crate::metrics::{registry, MetricsSnapshot, Registry};
 
@@ -21,7 +25,7 @@ pub fn render_prometheus_for(reg: &Registry) -> String {
 /// double quote, and newline are the three characters the text exposition
 /// format requires escaping (`\\`, `\"`, `\n`). Load-bearing for exemplar
 /// trace ids and tenant labels, both of which can carry client input.
-pub fn escape_label_value(raw: &str) -> String {
+fn escape_label_value(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for c in raw.chars() {
         match c {
@@ -32,6 +36,43 @@ pub fn escape_label_value(raw: &str) -> String {
         }
     }
     out
+}
+
+/// Write a metric family's `# TYPE <name> <kind>` line. An exposition
+/// declares each family exactly once, ahead of its samples.
+pub fn write_type(out: &mut String, name: &str, kind: &str) {
+    out.push_str("# TYPE ");
+    out.push_str(name);
+    out.push(' ');
+    out.push_str(kind);
+    out.push('\n');
+}
+
+/// Write one sample line, `name{key="value",...} value`. Label values are
+/// escaped (backslash, double quote, newline), so they may carry client
+/// input; an empty label set writes a bare name. Prometheus sample values
+/// are float64, so counters pass `as f64`.
+pub fn write_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
+    push_sample(out, name, labels, value);
+    out.push('\n');
+}
+
+/// A sample line without its terminating newline, so the renderer can
+/// append an exemplar to `_count` lines.
+fn push_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
+    out.push_str(name);
+    for (i, (key, raw)) in labels.iter().enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        out.push_str(key);
+        out.push_str("=\"");
+        out.push_str(&escape_label_value(raw));
+        out.push('"');
+    }
+    if !labels.is_empty() {
+        out.push('}');
+    }
+    out.push(' ');
+    push_f64(out, value);
 }
 
 fn push_f64(out: &mut String, v: f64) {
@@ -49,50 +90,26 @@ fn push_f64(out: &mut String, v: f64) {
 fn render_snapshot(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snap.counters {
-        out.push_str("# TYPE ");
-        out.push_str(name);
-        out.push_str(" counter\n");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&value.to_string());
-        out.push('\n');
+        write_type(&mut out, name, "counter");
+        write_sample(&mut out, name, &[], *value as f64);
     }
     for (name, value) in &snap.gauges {
-        out.push_str("# TYPE ");
-        out.push_str(name);
-        out.push_str(" gauge\n");
-        out.push_str(name);
-        out.push(' ');
-        push_f64(&mut out, *value);
-        out.push('\n');
+        write_type(&mut out, name, "gauge");
+        write_sample(&mut out, name, &[], *value);
     }
     for (name, h) in &snap.histograms {
-        out.push_str("# TYPE ");
-        out.push_str(name);
-        out.push_str(" summary\n");
+        write_type(&mut out, name, "summary");
         for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-            out.push_str(name);
-            out.push_str("{quantile=\"");
-            out.push_str(q);
-            out.push_str("\"} ");
-            push_f64(&mut out, v);
-            out.push('\n');
+            write_sample(&mut out, name, &[("quantile", q)], v);
         }
-        out.push_str(name);
-        out.push_str("_sum ");
-        push_f64(&mut out, h.sum);
-        out.push('\n');
-        out.push_str(name);
-        out.push_str("_count ");
-        out.push_str(&h.count.to_string());
+        write_sample(&mut out, &format!("{name}_sum"), &[], h.sum);
+        push_sample(&mut out, &format!("{name}_count"), &[], h.count as f64);
         // OpenMetrics-style exemplar: ` # {trace_id="..."} value` appended
         // to the _count series, linking the histogram's slowest traced
         // observation to its retained trace in /debug/traces.
         if let Some(e) = &h.exemplar {
-            out.push_str(" # {trace_id=\"");
-            out.push_str(&escape_label_value(&e.trace_id));
-            out.push_str("\"} ");
-            push_f64(&mut out, e.value);
+            out.push_str(" # ");
+            push_sample(&mut out, "", &[("trace_id", &e.trace_id)], e.value);
         }
         out.push('\n');
     }

@@ -5,7 +5,8 @@
 //! (the span that was current when it opened) and restores it on drop, so
 //! lexically nested guards produce a well-formed tree across the JSONL
 //! trace. Closing a span also feeds the `<name>_seconds` histogram, so
-//! every instrumented scope gets p50/p95/p99 for free.
+//! every instrumented scope gets p50/p95/p99 for free; a span carrying a
+//! `trace_id` string field offers that id as the histogram's exemplar.
 
 use crate::metrics::registry;
 use crate::sink;
@@ -196,9 +197,13 @@ impl Drop for SpanGuard {
         };
         CURRENT_SPAN.with(|c| c.set(inner.parent));
         let elapsed = inner.start.elapsed();
+        let trace_id = inner.fields.iter().find_map(|(key, value)| match value {
+            FieldValue::Str(id) if *key == "trace_id" => Some(id.as_str()),
+            _ => None,
+        });
         registry()
             .histogram(&format!("{}_seconds", inner.name))
-            .observe(elapsed.as_secs_f64());
+            .observe_with_exemplar(elapsed.as_secs_f64(), trace_id.unwrap_or(""));
         sink::emit_record(
             "span",
             inner.name,

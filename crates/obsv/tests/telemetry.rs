@@ -186,6 +186,40 @@ fn macros_feed_registry_and_prometheus_rendering() {
     d2stgnn_obsv::shutdown();
 }
 
+#[test]
+fn span_closed_with_trace_id_leaves_that_exemplar() {
+    let _guard = test_lock();
+    let _buf = fresh_telemetry();
+
+    {
+        let mut span = d2stgnn_obsv::span!("d2stgnn_test_traced");
+        d2stgnn_obsv::record!(span, trace_id = "exemplar-trace-1");
+    }
+    {
+        let _span = d2stgnn_obsv::span!("d2stgnn_test_untraced", trace_ids = "a,b");
+    }
+
+    let registry = d2stgnn_obsv::registry();
+    let traced = registry.histogram("d2stgnn_test_traced_seconds");
+    assert_eq!(traced.count(), 1, "the span is timed once");
+    let exemplar = traced.exemplar().expect("span left no exemplar");
+    assert_eq!(exemplar.trace_id, "exemplar-trace-1");
+    assert_eq!(
+        registry
+            .histogram("d2stgnn_test_untraced_seconds")
+            .exemplar(),
+        None,
+        "only a `trace_id` field names an exemplar"
+    );
+    let text = d2stgnn_obsv::render_prometheus();
+    assert!(
+        text.contains("d2stgnn_test_traced_seconds_count 1 # {trace_id=\"exemplar-trace-1\"} "),
+        "exemplar missing from exposition: {text}"
+    );
+
+    d2stgnn_obsv::shutdown();
+}
+
 /// A writer whose every operation fails, for exercising the loss path.
 struct FailingWriter;
 

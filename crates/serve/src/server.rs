@@ -130,7 +130,7 @@ struct Shared {
     queue: OrderedMutex<VecDeque<Pending>>,
     /// Mirror of `queue.len()`, updated at every push/pop under the queue
     /// lock, so admission control can read the depth without contending on
-    /// the queue mutex (or scraping the obsv gauge).
+    /// the queue mutex.
     depth: AtomicUsize,
     notify: Condvar,
     shutdown: AtomicBool,
@@ -224,11 +224,11 @@ impl Server {
             if queue.len() >= self.shared.config.queue_capacity {
                 drop(queue);
                 request.trace.mark_shed();
-                self.shared.stats.shed();
+                self.shared.stats.sheds.add(1);
                 let fallback = self.shared.fallback.lock().clone();
                 return match fallback {
                     Some(ha) => {
-                        self.shared.stats.fallback();
+                        self.shared.stats.fallback_served.add(1);
                         let forecast = fallback_forecast(&ha, &version, &request);
                         tx.send(Ok(forecast)).ok();
                         Ok(ForecastHandle { rx })
@@ -241,9 +241,8 @@ impl Server {
                 enqueued: Instant::now(),
                 tx,
             });
-            self.shared.stats.accepted();
+            self.shared.stats.requests.add(1);
             self.shared.depth.store(queue.len(), Ordering::Release);
-            d2stgnn_obsv::gauge_set!("d2stgnn_serve_queue_depth", queue.len() as f64);
         }
         self.shared.notify.notify_all();
         Ok(ForecastHandle { rx })
@@ -264,7 +263,7 @@ impl Server {
     /// Number of requests currently waiting in the bounded queue. Lock-free:
     /// reads a mirror that push/pop sites maintain under the queue lock, so
     /// front-end admission control can poll it per request without touching
-    /// the queue mutex (or scraping the `d2stgnn_serve_queue_depth` gauge).
+    /// the queue mutex.
     pub fn queue_depth(&self) -> usize {
         self.shared.depth.load(Ordering::Acquire)
     }
@@ -455,7 +454,6 @@ fn worker_loop(shared: &Shared) {
             queue = guard;
         }
         shared.depth.store(queue.len(), Ordering::Release);
-        d2stgnn_obsv::gauge_set!("d2stgnn_serve_queue_depth", queue.len() as f64);
         drop(queue);
         let fuse_wait = fuse_start.elapsed();
         process_batch(shared, &mut cache, version, batch, &mut rng, fuse_wait);
@@ -506,10 +504,10 @@ fn process_batch(
             live.push(p);
             continue;
         }
-        shared.stats.deadline_miss();
+        shared.stats.deadline_misses.add(1);
         match &fallback {
             Some(ha) => {
-                shared.stats.fallback();
+                shared.stats.fallback_served.add(1);
                 p.tx.send(Ok(fallback_forecast(ha, &version, &p.request)))
                     .ok();
             }

@@ -1,13 +1,14 @@
 //! Server-side counters and latency percentiles.
 //!
-//! Every counter bump and latency observation is mirrored into the
-//! `d2stgnn_serve_*` metrics of [`d2stgnn_obsv`] (a no-op unless the `obsv`
-//! feature is on), so the Prometheus dump and the [`ServerStats`] snapshot
-//! tell the same story. The exact-window percentiles here stay authoritative
-//! for `ServerStats`; the obsv histogram trades a bounded (~12%) quantile
-//! error for a full-lifetime view and text exposition.
+//! Each counter is a [`d2stgnn_obsv::Counter`] cell owned by one server and
+//! stored nowhere else; front ends export [`ServerStats`] per server (httpd's
+//! `/metrics` labels each shard's series). The process-wide obsv registry
+//! gets only the latency, queue-wait and batch-size histograms. The
+//! exact-window percentiles stay authoritative for `ServerStats`; the obsv
+//! histogram trades a bounded (~12%) quantile error for a lifetime view.
 
 use crate::lockorder::OrderedMutex;
+use d2stgnn_obsv::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -45,13 +46,13 @@ pub struct ServerStats {
 
 /// Lock-light recorder the server and its workers write into.
 pub struct StatsRecorder {
-    requests: AtomicU64,
-    completed: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    sheds: AtomicU64,
-    fallback_served: AtomicU64,
-    deadline_misses: AtomicU64,
+    pub(crate) requests: Counter,
+    completed: Counter,
+    batches: Counter,
+    batched_requests: Counter,
+    pub(crate) sheds: Counter,
+    pub(crate) fallback_served: Counter,
+    pub(crate) deadline_misses: Counter,
     /// Ring buffer of recent latencies in nanoseconds.
     latencies: OrderedMutex<Vec<u64>>,
     cursor: AtomicU64,
@@ -60,13 +61,13 @@ pub struct StatsRecorder {
 impl Default for StatsRecorder {
     fn default() -> Self {
         Self {
-            requests: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
-            sheds: AtomicU64::new(0),
-            fallback_served: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
+            requests: Counter::default(),
+            completed: Counter::default(),
+            batches: Counter::default(),
+            batched_requests: Counter::default(),
+            sheds: Counter::default(),
+            fallback_served: Counter::default(),
+            deadline_misses: Counter::default(),
             latencies: OrderedMutex::new("serve.stats.latencies", Vec::new()),
             cursor: AtomicU64::new(0),
         }
@@ -74,42 +75,14 @@ impl Default for StatsRecorder {
 }
 
 impl StatsRecorder {
-    pub(crate) fn accepted(&self) {
-        // relaxed: monotonic stats counter; no other memory is published through it
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        d2stgnn_obsv::counter_add!("d2stgnn_serve_requests_total", 1);
-    }
-
-    pub(crate) fn shed(&self) {
-        // relaxed: monotonic stats counter; no other memory is published through it
-        self.sheds.fetch_add(1, Ordering::Relaxed);
-        d2stgnn_obsv::counter_add!("d2stgnn_serve_sheds_total", 1);
-    }
-
-    pub(crate) fn fallback(&self) {
-        // relaxed: monotonic stats counter; no other memory is published through it
-        self.fallback_served.fetch_add(1, Ordering::Relaxed);
-        d2stgnn_obsv::counter_add!("d2stgnn_serve_fallback_total", 1);
-    }
-
-    pub(crate) fn deadline_miss(&self) {
-        // relaxed: monotonic stats counter; no other memory is published through it
-        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-        d2stgnn_obsv::counter_add!("d2stgnn_serve_deadline_misses_total", 1);
-    }
-
     pub(crate) fn batch_done(&self, size: usize) {
-        // relaxed: monotonic stats counter; no other memory is published through it
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
-        d2stgnn_obsv::counter_add!("d2stgnn_serve_batches_total", 1);
+        self.batches.add(1);
+        self.batched_requests.add(size as u64);
         d2stgnn_obsv::observe!("d2stgnn_serve_batch_size", size as f64);
     }
 
     pub(crate) fn request_done(&self, latency: Duration, trace_id: Option<&str>) {
-        // relaxed: monotonic stats counter; no other memory is published through it
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.completed.add(1);
         // Exemplar: the slowest traced request stays attached to the latency
         // histogram (an absent/empty id degrades to a plain observation).
         d2stgnn_obsv::observe_exemplar!(
@@ -134,16 +107,15 @@ impl StatsRecorder {
             let window = self.latencies.lock();
             percentiles(&window)
         };
-        // relaxed: point-in-time snapshot; counters are independent and tearing across them only blurs one report
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_requests.load(Ordering::Relaxed);
+        let batches = self.batches.get();
+        let batched = self.batched_requests.get();
         ServerStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
+            requests: self.requests.get(),
+            completed: self.completed.get(),
             batches,
-            sheds: self.sheds.load(Ordering::Relaxed),
-            fallback_served: self.fallback_served.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
+            sheds: self.sheds.get(),
+            fallback_served: self.fallback_served.get(),
+            deadline_misses: self.deadline_misses.get(),
             queue_depth: 0,
             p50_latency: p50,
             p95_latency: p95,

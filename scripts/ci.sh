@@ -21,6 +21,9 @@ cargo check --manifest-path perfbench/Cargo.toml --all-targets --features trace 
 
 echo "==> cargo test -q"
 cargo test -q
+# Plain `cargo test` runs only the root package's tests; these crates' own
+# unit and integration tests are run by no other stage below.
+cargo test -q -p d2stgnn-graph -p d2stgnn-data -p d2stgnn-baselines -p d2stgnn-bench
 
 echo "==> xlint (workspace static analysis, ratcheted against xlint_report.json)"
 cargo test -q -p xlint
