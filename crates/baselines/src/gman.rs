@@ -234,6 +234,10 @@ impl TrafficModel for Gman {
     fn horizon(&self) -> usize {
         self.tf
     }
+
+    fn steps_per_day(&self) -> Option<usize> {
+        Some(self.steps_per_day)
+    }
 }
 
 impl Module for Gman {

@@ -279,8 +279,7 @@ fn spawn_child(threads: usize, cell: &str) -> Vec<u8> {
     cmd.arg("--child")
         .arg(cell)
         .arg(&out)
-        .env("D2_THREADS", threads.to_string())
-        .env_remove("D2_FAST_MATH");
+        .env("D2_THREADS", threads.to_string());
     eprintln!("[graph_scale] child {cell}: threads={threads}...");
     let status = cmd.status().expect("spawn child");
     assert!(status.success(), "bench child `{cell}-t{threads}` failed");

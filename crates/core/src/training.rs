@@ -207,9 +207,7 @@ impl Trainer {
     /// * [`TrainError::Diverged`] if a non-finite loss or gradient norm
     ///   survives every rollback in [`TrainConfig::divergence_retries`].
     /// * [`TrainError::Checkpoint`] / [`TrainError::ResumeMismatch`] for
-    ///   unreadable, corrupt, or incompatible checkpoint files — including
-    ///   resuming under `D2_FAST_MATH=1`, whose FMA kernels break the
-    ///   bit-exact replay the checkpoint layer promises.
+    ///   unreadable, corrupt, or incompatible checkpoint files.
     pub fn train<M: TrafficModel + ?Sized>(
         &self,
         model: &M,
@@ -240,18 +238,7 @@ impl Trainer {
             rollbacks: 0,
         };
 
-        if d2stgnn_tensor::simd::fast_math() {
-            // Surfaced once per training run: fast-math kernels round
-            // differently, so losses/metrics are not comparable bit-for-bit
-            // with default runs even though fresh training is allowed.
-            d2stgnn_obsv::event!("d2stgnn_core_train_fast_math", active = 1);
-        }
         if let Some(path) = &self.cfg.resume_from {
-            // Resume replays optimizer state on the bit-exact promise from
-            // the checkpoint layer; D2_FAST_MATH's FMA kernels break it, so
-            // refuse up front instead of diverging silently mid-epoch.
-            d2stgnn_tensor::simd::require_bit_exact("training resume")
-                .map_err(|e| TrainError::ResumeMismatch(e.to_string()))?;
             let ckpt = checkpoint::read(Path::new(path))?;
             let state = ckpt.train.as_ref().ok_or_else(|| {
                 TrainError::ResumeMismatch(format!(

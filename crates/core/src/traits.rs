@@ -19,4 +19,11 @@ pub trait TrafficModel: Module {
 
     /// Forecast horizon the model produces.
     fn horizon(&self) -> usize;
+
+    /// Rows of the time-of-day embedding table, for models that index one
+    /// with `batch.tod`; a slot at or past this bound has no row. `None`
+    /// for models that do not read `tod`.
+    fn steps_per_day(&self) -> Option<usize> {
+        None
+    }
 }

@@ -34,6 +34,8 @@ pub struct ModelVersion {
     input_shape: [usize; 2],
     /// Forecast horizon `T_f` produced by this model.
     horizon: usize,
+    /// Time-of-day slots the model's embedding table covers, if it has one.
+    steps_per_day: Option<usize>,
 }
 
 impl ModelVersion {
@@ -60,6 +62,12 @@ impl ModelVersion {
     /// Forecast horizon `T_f`.
     pub fn horizon(&self) -> usize {
         self.horizon
+    }
+
+    /// Time-of-day slots per day the model indexes (`None` when it ignores
+    /// `tod`); request validation rejects any slot at or past it.
+    pub fn steps_per_day(&self) -> Option<usize> {
+        self.steps_per_day
     }
 
     /// Build a live replica of this version (factory + checkpoint restore).
@@ -119,10 +127,12 @@ impl ModelRegistry {
             factory,
             input_shape,
             horizon: 0,
+            steps_per_day: None,
         };
         let probe = version.instantiate()?;
         let version = ModelVersion {
             horizon: probe.horizon(),
+            steps_per_day: probe.steps_per_day(),
             ..version
         };
         self.entries
@@ -149,6 +159,7 @@ impl ModelRegistry {
             factory: current.factory.clone(),
             input_shape: current.input_shape,
             horizon: current.horizon,
+            steps_per_day: current.steps_per_day,
         };
         version.instantiate()?;
         self.entries

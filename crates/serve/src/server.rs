@@ -362,6 +362,21 @@ fn validate(request: &InferRequest, version: &ModelVersion) -> Result<(), ServeE
             "day-of-week out of range".to_string(),
         ));
     }
+    if let Some(spd) = version.steps_per_day() {
+        if request.tod.iter().any(|t| *t >= spd) {
+            return Err(ServeError::BadRequest(format!(
+                "time-of-day out of range, model {} has {spd} slots per day",
+                version.name()
+            )));
+        }
+    }
+    // The JSON front door parses out-of-range numbers such as `1e39` to
+    // `inf`; no model output for such a window means anything.
+    if request.window.data().iter().any(|v| !v.is_finite()) {
+        return Err(ServeError::BadRequest(
+            "window contains non-finite values".to_string(),
+        ));
+    }
     Ok(())
 }
 

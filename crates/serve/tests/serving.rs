@@ -359,6 +359,57 @@ fn unknown_model_and_bad_shapes_are_rejected() {
 }
 
 #[test]
+fn out_of_range_tod_and_non_finite_windows_are_rejected_and_the_worker_survives() {
+    let data = dataset();
+    let registry = Arc::new(ModelRegistry::new());
+    register(&registry, &data, "d2stgnn", 7);
+    let spd = registry
+        .get("d2stgnn")
+        .and_then(|v| v.steps_per_day())
+        .expect("D2STGNN indexes a time-of-day table");
+    assert_eq!(spd, 288);
+    // One worker: a request that killed it would leave nobody to answer the
+    // valid request that follows.
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServeConfig {
+            workers: 1,
+            max_batch: 1,
+            max_wait: Duration::from_millis(1),
+            queue_capacity: 8,
+        },
+    )
+    .expect("start server");
+
+    let mut bad = request_for(&data, Split::Test, 0, "d2stgnn");
+    bad.tod[5] = spd;
+    let err = server.submit(bad).expect_err("tod past the model's day");
+    assert!(matches!(err, ServeError::BadRequest(_)), "got {err}");
+
+    let mut bad = request_for(&data, Split::Test, 0, "d2stgnn");
+    bad.window.data_mut().fill(f32::INFINITY);
+    let err = server.submit(bad).expect_err("all-inf window");
+    assert!(matches!(err, ServeError::BadRequest(_)), "got {err}");
+
+    let mut bad = request_for(&data, Split::Test, 0, "d2stgnn");
+    bad.window.set(&[3, 2, 0], f32::NAN);
+    let err = server.submit(bad).expect_err("one NaN cell");
+    assert!(matches!(err, ServeError::BadRequest(_)), "got {err}");
+
+    let forecast = server
+        .submit(request_for(&data, Split::Test, 1, "d2stgnn"))
+        .expect("valid request admitted")
+        .wait_timeout(Duration::from_secs(30))
+        .expect("the worker still answers")
+        .expect("forecast");
+    assert!(!forecast.fallback);
+    assert!(forecast.values.data().iter().all(|v| v.is_finite()));
+    let stats = server.stats();
+    assert_eq!((stats.requests, stats.completed), (1, 1));
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
 fn registry_rejects_corrupt_checkpoints_and_unknown_reloads() {
     let data = dataset();
     let registry = ModelRegistry::new();

@@ -43,13 +43,6 @@ pub enum TensorError {
         /// Name of the rejecting operation.
         op: &'static str,
     },
-    /// `D2_FAST_MATH=1` is active but the caller requires bit-exact
-    /// arithmetic (e.g. training resume replay). See
-    /// [`crate::simd::require_bit_exact`].
-    FastMathForbidden {
-        /// What demanded bit-exactness.
-        context: &'static str,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -72,11 +65,6 @@ impl fmt::Display for TensorError {
             TensorError::NonFinite { op } => {
                 write!(f, "{op}: input contains non-finite (NaN/Inf) values")
             }
-            TensorError::FastMathForbidden { context } => write!(
-                f,
-                "{context} requires bit-exact kernels but D2_FAST_MATH=1 selected an FMA \
-                 path; unset D2_FAST_MATH to proceed"
-            ),
         }
     }
 }

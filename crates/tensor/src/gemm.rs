@@ -72,9 +72,9 @@ pub(crate) fn pack_b_all(b: &[f32], batches: usize, k: usize, n: usize) -> Vec<f
 ///
 /// Dispatches to the explicit-SIMD micro-kernel when
 /// [`crate::simd::microkernel`] selected one (bit-exact with the scalar
-/// tile unless `D2_FAST_MATH` opted into FMA), otherwise runs the portable
-/// [`block_scalar`] tile. Both paths share pack layout and per-element
-/// accumulation order, so pooled chunking composes identically over either.
+/// tile), otherwise runs the portable [`block_scalar`] tile. Both paths
+/// share pack layout and per-element accumulation order, so pooled chunking
+/// composes identically over either.
 pub(crate) fn block(a: &[f32], k: usize, packed_b: &[f32], n: usize, out: &mut [f32]) {
     if crate::simd::block(a, k, packed_b, n, out) {
         return;

@@ -5,8 +5,8 @@
 //! `// SAFETY:` justification on every `unsafe` block). Everything else in
 //! the crate stays under `#![deny(unsafe_code)]`.
 //!
-//! Three kernels, selected once per process from `is_x86_feature_detected!`
-//! and two environment switches:
+//! Two kernels, selected once per process (like the pool's `D2_THREADS`)
+//! from `is_x86_feature_detected!` and the `D2_SIMD` switch:
 //!
 //! * **`Wide8`** (AVX2, default when available) — 8-wide f32 vectors, two
 //!   per `NR`=16 packed panel, accumulating with a *separate* round-to-
@@ -15,25 +15,18 @@
 //!   across independent output columns, so the result is **bit-identical**
 //!   to `gemm::block_scalar` — vectorizing across `j` never reorders any
 //!   single element's accumulation.
-//! * **`Wide8Fma` / `Wide16Fma`** — AVX2-FMA and AVX-512 variants that fuse
-//!   the multiply and add. FMA skips the intermediate rounding, so results
-//!   *differ in the last ulp* from the default path; they are reachable only
-//!   through the explicit `D2_FAST_MATH=1` opt-in and are rejected for
-//!   training resume by [`require_bit_exact`].
-//! * **`Scalar`** — anything else (including `D2_SIMD=0`) falls back to the
-//!   always-compiled scalar tile in `gemm.rs`.
+//! * **`Scalar`** — anything else falls back to the always-compiled scalar
+//!   tile in `gemm.rs`, including `D2_SIMD=0`, which the determinism suite
+//!   uses to byte-compare SIMD-on vs SIMD-off runs.
 //!
-//! Environment switches (read once, like the pool's `D2_THREADS`):
-//!
-//! * `D2_SIMD=0` forces the scalar tile — used by the determinism suite to
-//!   byte-compare SIMD-on vs SIMD-off runs.
-//! * `D2_FAST_MATH=1` opts serving-path kernels into the FMA variants.
+//! There is no fused multiply-add kernel: FMA skips the intermediate
+//! rounding, and every kernel here must reproduce the scalar tile's bits so
+//! that training resume and the determinism suite hold on any host.
 
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
 
-use crate::error::TensorError;
 use crate::gemm::{MR, NR};
 
 /// Which GEMM micro-kernel this process dispatches to (selected once).
@@ -43,10 +36,6 @@ pub(crate) enum Microkernel {
     Scalar,
     /// AVX2 8-wide mul-then-add; bit-exact with [`Microkernel::Scalar`].
     Wide8,
-    /// AVX2 8-wide FMA; `D2_FAST_MATH` only (last-ulp divergence).
-    Wide8Fma,
-    /// AVX-512 16-wide FMA; `D2_FAST_MATH` only (last-ulp divergence).
-    Wide16Fma,
 }
 
 /// Parse a boolean-ish environment flag: unset -> `None`; `0`/`false`/`off`
@@ -58,51 +47,24 @@ fn env_flag(name: &str) -> Option<bool> {
     })
 }
 
-/// Whether `D2_FAST_MATH=1` opted this process into FMA kernels.
-///
-/// Read once per process. Fast math trades the bit-exact resume invariant
-/// for throughput, so it is serving-only: [`require_bit_exact`] returns an
-/// error under fast math and training resume refuses to start.
-pub fn fast_math() -> bool {
-    static FAST: OnceLock<bool> = OnceLock::new();
-    *FAST.get_or_init(|| env_flag("D2_FAST_MATH").unwrap_or(false))
-}
-
-/// Fail if this process cannot guarantee bit-exact replay.
-///
-/// Checkpoint resume (PR 5) replays optimizer state on the promise that
-/// re-running an epoch reproduces it to the last bit; `D2_FAST_MATH`
-/// deliberately breaks that promise for throughput. Callers that depend on
-/// the invariant (training resume) call this before touching kernels and
-/// surface the typed error instead of silently diverging.
-pub fn require_bit_exact(context: &'static str) -> Result<(), TensorError> {
-    if fast_math() {
-        Err(TensorError::FastMathForbidden { context })
-    } else {
-        Ok(())
-    }
-}
-
 /// The kernel this process selected (resolved once from CPU features and
-/// `D2_SIMD` / `D2_FAST_MATH`).
+/// `D2_SIMD`).
 pub(crate) fn microkernel() -> Microkernel {
     static KERNEL: OnceLock<Microkernel> = OnceLock::new();
     *KERNEL.get_or_init(select)
 }
 
-/// `true` when GEMM dispatches to an explicit-SIMD kernel (any width).
+/// `true` when GEMM dispatches to the explicit-SIMD kernel.
 pub fn simd_active() -> bool {
     microkernel() != Microkernel::Scalar
 }
 
 /// Human-readable name of the selected kernel, for bench artifacts and
-/// pool stats: `"scalar"`, `"avx2"`, `"avx2-fma"`, or `"avx512-fma"`.
+/// pool stats: `"scalar"` or `"avx2"`.
 pub fn kernel_name() -> &'static str {
     match microkernel() {
         Microkernel::Scalar => "scalar",
         Microkernel::Wide8 => "avx2",
-        Microkernel::Wide8Fma => "avx2-fma",
-        Microkernel::Wide16Fma => "avx512-fma",
     }
 }
 
@@ -110,16 +72,6 @@ pub fn kernel_name() -> &'static str {
 fn select() -> Microkernel {
     if !env_flag("D2_SIMD").unwrap_or(true) {
         return Microkernel::Scalar;
-    }
-    // D2_FAST_MATH prefers the widest FMA unit; the default path insists on
-    // mul-then-add and therefore never selects an FMA kernel.
-    if fast_math() {
-        if is_x86_feature_detected!("avx512f") {
-            return Microkernel::Wide16Fma;
-        }
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return Microkernel::Wide8Fma;
-        }
     }
     if is_x86_feature_detected!("avx2") {
         return Microkernel::Wide8;
@@ -138,23 +90,15 @@ fn select() -> Microkernel {
 /// scalar so `gemm::block` falls through to the portable tile.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn block(a: &[f32], k: usize, packed_b: &[f32], n: usize, out: &mut [f32]) -> bool {
-    let kernel = microkernel();
-    if kernel == Microkernel::Scalar {
+    if microkernel() == Microkernel::Scalar {
         return false;
     }
-    // SAFETY: `microkernel()` only returns a non-scalar variant after
-    // `is_x86_feature_detected!` confirmed the matching CPU feature at
-    // selection time, so calling the `#[target_feature]` fns is sound; the
-    // kernels themselves uphold the same slice-length contract as
-    // `block_scalar` (checked by their internal bounds derivation).
-    unsafe {
-        match kernel {
-            Microkernel::Wide8 => x86::block_wide8(a, k, packed_b, n, out),
-            Microkernel::Wide8Fma => x86::block_wide8_fma(a, k, packed_b, n, out),
-            Microkernel::Wide16Fma => x86::block_wide16_fma(a, k, packed_b, n, out),
-            Microkernel::Scalar => return false,
-        }
-    }
+    // SAFETY: `microkernel()` only returns `Wide8` after
+    // `is_x86_feature_detected!("avx2")` confirmed the CPU feature at
+    // selection time, so calling the `#[target_feature]` fn is sound; the
+    // kernel itself upholds the same slice-length contract as
+    // `block_scalar` (checked by its internal bounds derivation).
+    unsafe { x86::block_wide8(a, k, packed_b, n, out) };
     true
 }
 
@@ -166,7 +110,7 @@ pub(crate) fn block(_a: &[f32], _k: usize, _packed_b: &[f32], _n: usize, _out: &
 
 /// Scalar fallback for a panel narrower than `NR` (the right edge of C).
 /// Identical arithmetic to `gemm::block_scalar`'s edge path — the SIMD
-/// kernels delegate here so full-panel vectorization never changes edge
+/// kernel delegates here so full-panel vectorization never changes edge
 /// results.
 fn edge_panel(a: &[f32], k: usize, panel: &[f32], w: usize, n: usize, j0: usize, out: &mut [f32]) {
     let rows = out.len().checked_div(n).unwrap_or(0);
@@ -185,9 +129,8 @@ fn edge_panel(a: &[f32], k: usize, panel: &[f32], w: usize, n: usize, j0: usize,
 mod x86 {
     use super::{edge_panel, MR, NR};
     use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_storeu_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps,
-        _mm512_setzero_ps, _mm512_storeu_ps,
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
     };
 
     /// AVX2 bit-exact kernel: 8-wide mul-then-add over full `NR` panels,
@@ -292,127 +235,6 @@ mod x86 {
             _mm256_storeu_ps(out.as_mut_ptr().add(o0 + 8), acc1);
         }
     }
-
-    /// AVX2 FMA kernel — D2_FAST_MATH only. `_mm256_fmadd_ps` fuses the
-    /// multiply and add with a single rounding, so outputs differ from the
-    /// bit-exact path in the last ulp; never selected without the opt-in.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn block_wide8_fma(
-        a: &[f32],
-        k: usize,
-        packed_b: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
-        let rows = out.len().checked_div(n).unwrap_or(0);
-        let n_panels = n.div_ceil(NR);
-        for jt in 0..n_panels {
-            let j0 = jt * NR;
-            let w = NR.min(n - j0);
-            let off = jt * k * NR;
-            if w < NR {
-                edge_panel(a, k, &packed_b[off..off + k * w], w, n, j0, out);
-                continue;
-            }
-            let panel = &packed_b[off..off + k * NR];
-            for i in 0..rows {
-                tile1_wide8_fma(a, i, k, panel, out, i * n + j0);
-            }
-        }
-    }
-
-    /// One-row AVX2 FMA micro-tile.
-    #[target_feature(enable = "avx2,fma")]
-    fn tile1_wide8_fma(a: &[f32], i: usize, k: usize, panel: &[f32], out: &mut [f32], o0: usize) {
-        // D2_FAST_MATH gate: this tile is reachable only through the
-        // `Wide8Fma` kernel, which `select()` returns solely when
-        // D2_FAST_MATH=1 opted into fused rounding.
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let ap = a.as_ptr();
-        let pp = panel.as_ptr();
-        for p in 0..k {
-            // SAFETY: same bounds as `tile1_wide8` — full `NR` panel of
-            // length `k * NR`, row `i` of A in bounds per the caller's loop.
-            unsafe {
-                let b0 = _mm256_loadu_ps(pp.add(p * NR));
-                let b1 = _mm256_loadu_ps(pp.add(p * NR + 8));
-                let av = _mm256_set1_ps(*ap.add(i * k + p));
-                acc0 = _mm256_fmadd_ps(av, b0, acc0);
-                acc1 = _mm256_fmadd_ps(av, b1, acc1);
-            }
-        }
-        // SAFETY: full-panel store inside row `i` of `out`, as in
-        // `tile1_wide8`.
-        unsafe {
-            _mm256_storeu_ps(out.as_mut_ptr().add(o0), acc0);
-            _mm256_storeu_ps(out.as_mut_ptr().add(o0 + 8), acc1);
-        }
-    }
-
-    /// AVX-512 FMA kernel — D2_FAST_MATH only. Eight rows per tile, one
-    /// 16-wide zmm accumulator per row covering a whole `NR` panel.
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn block_wide16_fma(
-        a: &[f32],
-        k: usize,
-        packed_b: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
-        // D2_FAST_MATH gate: `select()` returns `Wide16Fma` solely when
-        // D2_FAST_MATH=1 opted into fused rounding.
-        const ZR: usize = 8;
-        let rows = out.len().checked_div(n).unwrap_or(0);
-        let n_panels = n.div_ceil(NR);
-        for jt in 0..n_panels {
-            let j0 = jt * NR;
-            let w = NR.min(n - j0);
-            let off = jt * k * NR;
-            if w < NR {
-                edge_panel(a, k, &packed_b[off..off + k * w], w, n, j0, out);
-                continue;
-            }
-            let panel = &packed_b[off..off + k * NR];
-            let ap = a.as_ptr();
-            let pp = panel.as_ptr();
-            let mut i = 0;
-            while i + ZR <= rows {
-                let mut acc = [_mm512_setzero_ps(); ZR];
-                for p in 0..k {
-                    // SAFETY: full panel — one 16-float row per `p`, and
-                    // rows `i .. i + ZR` of A are in bounds per the
-                    // `i + ZR <= rows` guard with `a.len() >= rows * k`.
-                    let bv = unsafe { _mm512_loadu_ps(pp.add(p * NR)) };
-                    for (r, acc_r) in acc.iter_mut().enumerate() {
-                        // SAFETY: row `i + r < rows`, column `p < k`.
-                        let av = unsafe { _mm512_set1_ps(*ap.add((i + r) * k + p)) };
-                        *acc_r = _mm512_fmadd_ps(av, bv, *acc_r);
-                    }
-                }
-                let op = out.as_mut_ptr();
-                for (r, acc_r) in acc.iter().enumerate() {
-                    // SAFETY: full-panel 16-float store inside row `i + r`.
-                    unsafe { _mm512_storeu_ps(op.add((i + r) * n + j0), *acc_r) };
-                }
-                i += ZR;
-            }
-            while i < rows {
-                let mut acc = _mm512_setzero_ps();
-                for p in 0..k {
-                    // SAFETY: same single-row bounds as `tile1_wide8`.
-                    unsafe {
-                        let bv = _mm512_loadu_ps(pp.add(p * NR));
-                        let av = _mm512_set1_ps(*ap.add(i * k + p));
-                        acc = _mm512_fmadd_ps(av, bv, acc);
-                    }
-                }
-                // SAFETY: full-panel store inside row `i` of `out`.
-                unsafe { _mm512_storeu_ps(out.as_mut_ptr().add(i * n + j0), acc) };
-                i += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -438,25 +260,10 @@ mod tests {
     }
 
     #[test]
-    fn require_bit_exact_tracks_fast_math() {
-        // The test harness never sets D2_FAST_MATH (the determinism suite
-        // exercises the rejection in a child process), so the default
-        // process must be bit-exact-capable.
-        if !fast_math() {
-            assert_eq!(require_bit_exact("unit test"), Ok(()));
-        } else {
-            let err = require_bit_exact("unit test").unwrap_err();
-            assert!(err.to_string().contains("D2_FAST_MATH"));
-        }
-    }
-
-    #[test]
     fn simd_block_is_byte_identical_to_scalar_block() {
-        // Edge-heavy shapes: rows % MR, rows % 8 (AVX-512 tile), cols % NR,
-        // tiny k, single column. When the host selects a bit-exact SIMD
-        // kernel this must match the scalar tile to the bit; under
-        // D2_FAST_MATH (FMA kernels) only near-equality holds and the
-        // determinism suite covers the divergence contract instead.
+        // Edge-heavy shapes: rows % MR, cols % NR, tiny k, single column.
+        // Whenever the host selects a SIMD kernel it must match the scalar
+        // tile to the bit.
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 5, 7),
@@ -476,19 +283,11 @@ mod tests {
             if !block(&a, k, &packed, n, &mut got) {
                 continue; // scalar-only host: nothing to compare
             }
-            if fast_math() {
-                let close = want
-                    .iter()
-                    .zip(&got)
-                    .all(|(x, y)| (x - y).abs() <= 1e-4 * x.abs().max(1.0));
-                assert!(close, "fast-math SIMD drifted beyond ulp noise");
-            } else {
-                let same = want
-                    .iter()
-                    .zip(&got)
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same, "SIMD != scalar bits for shape ({m},{k},{n})");
-            }
+            let same = want
+                .iter()
+                .zip(&got)
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "SIMD != scalar bits for shape ({m},{k},{n})");
         }
     }
 }

@@ -12,10 +12,10 @@
 //!   are taken while which others are held, across calls) and fail on any
 //!   cycle, including ones no test ever executes. Complements the runtime
 //!   `OrderedMutex` sanitizer in `d2stgnn_serve::lockorder`.
-//! * **float-determinism** — in kernel float code, flag FMA (`mul_add`),
-//!   hash-ordered containers, and unordered reductions over them unless
-//!   explicitly gated behind the `D2_FAST_MATH` opt-in; bit-exact resume and
-//!   the paper's reproducibility claims depend on ordered reductions.
+//! * **float-determinism** — in kernel float code, flag any FMA (`mul_add`
+//!   or an `fmadd` intrinsic), hash-ordered containers, and unordered
+//!   reductions over them; bit-exact resume and the paper's reproducibility
+//!   claims depend on mul-then-add arithmetic and ordered reductions.
 //! * **atomic-ordering** — every `Ordering::Relaxed` must carry a
 //!   `// relaxed: …` justification comment in its enclosing function.
 //! * **unsafe-audit** — `unsafe` may appear only in the audited SIMD
@@ -631,7 +631,7 @@ fn guard_is_consumed(toks: &[crate::lexer::Tok], src: &str, i: usize, end: usize
 
 fn float_determinism(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (file_id, file) in ws.files.iter().enumerate() {
+    for file in &ws.files {
         if !KERNEL_FLOAT_FILES.contains(&file.rel.as_str()) {
             continue;
         }
@@ -650,22 +650,16 @@ fn float_determinism(ws: &Workspace) -> Vec<Diagnostic> {
             let word = txt(i);
             let line = toks[i].line as usize;
             match word {
-                // FMA contracts differently than separate mul+add; only the
-                // explicit fast-math opt-in may change reduction semantics.
-                "mul_add" | "fma"
-                    if i > 0
-                        && is_p(i - 1, ".")
-                        && is_p(i + 1, "(")
-                        && !fast_math_gated(ws, file_id, i) =>
-                {
+                // FMA rounds once where the kernels' contract is a separately
+                // rounded multiply then add.
+                "mul_add" | "fma" if i > 0 && is_p(i - 1, ".") && is_p(i + 1, "(") => {
                     out.push(Diagnostic {
                         rule: "float-determinism",
                         path: file.rel.clone(),
                         line,
                         message: format!(
-                            "`.{word}(..)` in kernel float code outside a `D2_FAST_MATH` \
-                                 gate (FMA changes rounding vs mul-then-add; bit-exact resume \
-                                 forbids it by default)"
+                            "`.{word}(..)` in kernel float code (FMA changes rounding vs \
+                             mul-then-add; bit-exact resume forbids it)"
                         ),
                         excerpt: raw_line(src, &starts, line),
                         symbol: "fma".to_string(),
@@ -673,20 +667,15 @@ fn float_determinism(ws: &Workspace) -> Vec<Diagnostic> {
                     });
                 }
                 // Explicit FMA intrinsics (`_mm256_fmadd_ps`, ...) contract
-                // the same way `.mul_add` does; same gate required.
-                intrinsic
-                    if intrinsic.contains("fmadd")
-                        && is_p(i + 1, "(")
-                        && !fast_math_gated(ws, file_id, i) =>
-                {
+                // the same way `.mul_add` does.
+                intrinsic if intrinsic.contains("fmadd") && is_p(i + 1, "(") => {
                     out.push(Diagnostic {
                         rule: "float-determinism",
                         path: file.rel.clone(),
                         line,
                         message: format!(
-                            "FMA intrinsic `{intrinsic}(..)` in kernel float code outside \
-                             a `D2_FAST_MATH` gate (fused rounding diverges from the \
-                             bit-exact mul-then-add contract)"
+                            "FMA intrinsic `{intrinsic}(..)` in kernel float code (fused \
+                             rounding diverges from the bit-exact mul-then-add contract)"
                         ),
                         excerpt: raw_line(src, &starts, line),
                         symbol: "fma".to_string(),
@@ -741,26 +730,6 @@ fn float_determinism(ws: &Workspace) -> Vec<Diagnostic> {
         }
     }
     out
-}
-
-/// A site is fast-math-gated when its enclosing function mentions
-/// `D2_FAST_MATH` (env/flag check) or is itself `cfg`-gated on the
-/// `fast-math` feature (attribute text tracked by the indexer is not
-/// retained, so the source-window check covers it).
-fn fast_math_gated(ws: &Workspace, file_id: usize, tok: usize) -> bool {
-    let file = &ws.files[file_id];
-    match ws.enclosing_fn(file_id, tok) {
-        Some(fn_id) => {
-            let item = &ws.fns[fn_id];
-            let (open, close) = item.body.unwrap_or((tok, tok));
-            let lo = file.lexed.toks[item.sig.0].lo;
-            let hi = file.lexed.toks[close.min(file.lexed.toks.len() - 1)].hi;
-            let _ = open;
-            let window = &file.src[lo..hi];
-            window.contains("D2_FAST_MATH") || window.contains("fast-math")
-        }
-        None => false,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1024,15 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn gated_fma_passes() {
-        let diags = deep(&[(
-            "crates/tensor/src/ops.rs",
-            "pub fn gated(a: f32, b: f32, c: f32) -> f32 {\n    if *crate::D2_FAST_MATH { a.mul_add(b, c) } else { a * b + c }\n}\n",
-        )]);
-        assert!(diags.iter().all(|d| d.symbol != "fma"), "{diags:?}");
-    }
-
-    #[test]
     fn relaxed_needs_a_justification_comment() {
         let bad = deep(&[(
             "crates/obsv/src/m.rs",
@@ -1057,26 +1017,24 @@ mod tests {
     }
 
     #[test]
-    fn ungated_fma_intrinsic_is_flagged_gated_passes() {
-        let bad = deep(&[(
+    fn fma_intrinsic_is_flagged_even_beside_an_opt_in_comment() {
+        let fma_count = |diags: &[Diagnostic]| {
+            diags
+                .iter()
+                .filter(|d| d.rule == "float-determinism" && d.symbol == "fma")
+                .count()
+        };
+        let bare = deep(&[(
             "crates/tensor/src/simd.rs",
             "fn tile(av: __m256, b: __m256, acc: __m256) -> __m256 {\n    _mm256_fmadd_ps(av, b, acc)\n}\n",
         )]);
-        assert_eq!(
-            bad.iter()
-                .filter(|d| d.rule == "float-determinism" && d.symbol == "fma")
-                .count(),
-            1,
-            "{bad:?}"
-        );
-        let good = deep(&[(
+        assert_eq!(fma_count(&bare), 1, "{bare:?}");
+        // No comment or flag check exempts a fused multiply-add.
+        let commented = deep(&[(
             "crates/tensor/src/simd.rs",
             "fn tile(av: __m256, b: __m256, acc: __m256) -> __m256 {\n    // D2_FAST_MATH opt-in path: fused rounding is the point here.\n    _mm256_fmadd_ps(av, b, acc)\n}\n",
         )]);
-        assert!(
-            good.iter().all(|d| d.symbol != "fma"),
-            "gated intrinsic flagged: {good:?}"
-        );
+        assert_eq!(fma_count(&commented), 1, "{commented:?}");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!   sites on those paths are counted per function and ratcheted through the
 //!   committed `xlint_report.json` baseline ([`report`]).
 //! * `lock-order` — the static lock-acquisition graph must be acyclic.
-//! * `float-determinism` — no ungated FMA, hash containers, or unordered
+//! * `float-determinism` — no FMA, hash containers, or unordered
 //!   reductions in kernel float code.
 //! * `atomic-ordering` — every `Ordering::Relaxed` carries a `// relaxed:`
 //!   justification comment.

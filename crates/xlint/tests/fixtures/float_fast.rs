@@ -1,6 +1,6 @@
 //! Float-determinism fixture for kernel code: an unordered reduction over a
-//! HashMap and an ungated `mul_add` must both be flagged; the
-//! `D2_FAST_MATH`-gated variant must not.
+//! HashMap and every `mul_add` must be flagged, including one behind a
+//! `D2_FAST_MATH` check (no flag exempts fused rounding).
 
 use std::collections::HashMap;
 
