@@ -169,12 +169,10 @@ impl DiffusionBlock {
                 // Eq. 4's `⊙ (1 - I_N)`, then `masked · z` for every
                 // (window, time) pair.
                 let agg = if per_window {
-                    // Per-window matrices are repeated across the T_h axis
-                    // first: [B*Th, N, N] x [B*Th, N, d].
+                    // A grouped product: window `bi`'s matrix multiplies its
+                    // own T_h pages of z, [B, N, N] x [B*Th, N, d].
                     let mask = ctx.diag_mask().reshape(&[1, n, n]).broadcast_to(&[b, n, n]);
-                    let idx: Vec<usize> =
-                        (0..b).flat_map(|bi| std::iter::repeat_n(bi, th)).collect();
-                    power.mul(&mask).index_select(0, &idx).matmul(&z_flat)
+                    power.mul(&mask).matmul(&z_flat)
                 } else {
                     // [N, N] x [B*Th, N, d] broadcasts over the batch.
                     power.mul(ctx.diag_mask()).matmul(&z_flat)
@@ -298,7 +296,7 @@ mod tests {
     #[test]
     fn dynamic_with_static_values_matches_static_path() {
         // Feeding the static matrices through the dynamic code path must give
-        // identical hidden states (the tiling logic is value-preserving).
+        // identical hidden states (the grouped product is value-preserving).
         let (ctx, mut rng) = setup(6, 2);
         let block = DiffusionBlock::new(cfg(), &mut rng);
         let x = Tensor::constant(Array::randn(&[3, 4, 6, 6], &mut rng));

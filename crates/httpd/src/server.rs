@@ -607,7 +607,7 @@ fn metrics(shared: &Arc<Shared>) -> Response {
     let shards = shared.router.shard_stats();
     write_type(&mut out, "d2stgnn_httpd_shards", "gauge");
     write_sample(&mut out, "d2stgnn_httpd_shards", &[], shards.len() as f64);
-    let serve: [Family<ServerStats>; 7] = [
+    let serve: [Family<ServerStats>; 8] = [
         ("d2stgnn_serve_requests_total", "counter", |s| s.requests),
         ("d2stgnn_serve_completed_total", "counter", |s| s.completed),
         ("d2stgnn_serve_sheds_total", "counter", |s| s.sheds),
@@ -616,6 +616,9 @@ fn metrics(shared: &Arc<Shared>) -> Response {
         }),
         ("d2stgnn_serve_deadline_misses_total", "counter", |s| {
             s.deadline_misses
+        }),
+        ("d2stgnn_serve_forward_failures_total", "counter", |s| {
+            s.forward_failures
         }),
         ("d2stgnn_serve_batches_total", "counter", |s| s.batches),
         ("d2stgnn_serve_queue_depth", "gauge", |s| s.queue_depth),

@@ -93,6 +93,7 @@ fn metrics_counters_are_exact_and_each_family_is_declared_once() {
             "d2stgnn_serve_sheds_total{shard=\"0\"} 0",
             "d2stgnn_serve_fallback_total{shard=\"0\"} 0",
             "d2stgnn_serve_deadline_misses_total{shard=\"0\"} 0",
+            "d2stgnn_serve_forward_failures_total{shard=\"0\"} 0",
             "d2stgnn_serve_batches_total{shard=\"0\"} 3",
             "d2stgnn_httpd_tenant_requests_total{tenant=\"anonymous\"} 4",
             "d2stgnn_httpd_tenant_shed_total{tenant=\"anonymous\"} 0",

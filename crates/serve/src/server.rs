@@ -13,6 +13,12 @@
 //! or rejected with [`ServeError::Overloaded`]. Requests whose deadline
 //! passes while queued degrade to the fallback the same way.
 //!
+//! Failure containment: a forward that panics is caught in the worker, which
+//! drops its replica (rebuilt on the next batch) and keeps serving. Every
+//! request of that batch, and any request whose forecast row holds a
+//! non-finite value, is answered by the fallback or with
+//! [`ServeError::Internal`], and counted in `forward_failures`.
+//!
 //! Concurrency hygiene: every mutex in the serving path is an
 //! [`crate::lockorder::OrderedMutex`], so debug and `sanitize` builds verify
 //! the global lock-acquisition order on every `lock()`. Response channels are
@@ -30,7 +36,9 @@ use d2stgnn_data::Batch;
 use d2stgnn_tensor::{no_grad, Array};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar};
@@ -399,6 +407,34 @@ fn fallback_forecast(
     }
 }
 
+/// Answer a request the model did not: with the fallback's forecast when
+/// one is registered (counted in `fallback_served`), else with `error`.
+fn degrade(
+    shared: &Shared,
+    fallback: Option<&HistoricalAverage>,
+    version: &ModelVersion,
+    p: Pending,
+    error: ServeError,
+) {
+    let answer = match fallback {
+        Some(ha) => {
+            shared.stats.fallback_served.add(1);
+            Ok(fallback_forecast(ha, version, &p.request))
+        }
+        None => Err(error),
+    };
+    p.tx.send(answer).ok();
+}
+
+/// The message a caught panic carried, when it was a string.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 /// Per-worker replica cache: model name -> (generation it was built from,
 /// live instance).
 type ReplicaCache = HashMap<String, (u64, Box<dyn TrafficModel>)>;
@@ -520,16 +556,13 @@ fn process_batch(
             continue;
         }
         shared.stats.deadline_misses.add(1);
-        match &fallback {
-            Some(ha) => {
-                shared.stats.fallback_served.add(1);
-                p.tx.send(Ok(fallback_forecast(ha, &version, &p.request)))
-                    .ok();
-            }
-            None => {
-                p.tx.send(Err(ServeError::DeadlineExceeded)).ok();
-            }
-        }
+        degrade(
+            shared,
+            fallback.as_deref(),
+            &version,
+            p,
+            ServeError::DeadlineExceeded,
+        );
     }
     if live.is_empty() {
         return;
@@ -605,12 +638,36 @@ fn process_batch(
     let out = {
         let _forward_span = d2stgnn_obsv::span!("d2stgnn_serve_forward", batch_size = b);
         d2stgnn_obsv::gauge_add!("d2stgnn_serve_in_flight", b as f64);
-        let out = no_grad(|| model.forward(&batch, false, rng)).value();
+        // A panic must not end the worker: nothing would respawn it, and
+        // the queue would keep filling for nobody.
+        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            no_grad(|| model.forward(&batch, false, rng)).value()
+        }));
         d2stgnn_obsv::gauge_add!("d2stgnn_serve_in_flight", -(b as f64));
         out
     };
     let forward_wait = forward_start.elapsed();
     shared.stats.batch_done(b);
+    let out = match out {
+        Ok(out) => out,
+        Err(payload) => {
+            // The replica may have been left mid-update; rebuild it next batch.
+            cache.remove(version.name());
+            let reason = format!("forward panicked: {}", panic_message(payload.as_ref()));
+            for p in live {
+                p.request.trace.stage("forward", forward_wait);
+                shared.stats.forward_failures.add(1);
+                degrade(
+                    shared,
+                    fallback.as_deref(),
+                    &version,
+                    p,
+                    ServeError::Internal(reason.clone()),
+                );
+            }
+            return;
+        }
+    };
 
     // Fan the rows back out, de-normalized.
     let _post_span = d2stgnn_obsv::span!("d2stgnn_serve_postprocess", batch_size = b);
@@ -626,6 +683,17 @@ fn process_batch(
             }
         }
         p.request.trace.stage("forward", forward_wait);
+        if values.has_non_finite() {
+            shared.stats.forward_failures.add(1);
+            degrade(
+                shared,
+                fallback.as_deref(),
+                &version,
+                p,
+                ServeError::Internal("forward gave a non-finite forecast".to_string()),
+            );
+            continue;
+        }
         p.request.trace.stage("postprocess", row_start.elapsed());
         shared
             .stats

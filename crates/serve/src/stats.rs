@@ -30,6 +30,10 @@ pub struct ServerStats {
     pub fallback_served: u64,
     /// Requests whose deadline passed before a worker reached them.
     pub deadline_misses: u64,
+    /// Requests whose forward pass panicked or gave a non-finite forecast;
+    /// each was answered by the fallback or with
+    /// [`crate::ServeError::Internal`].
+    pub forward_failures: u64,
     /// Requests waiting in the bounded queue at snapshot time. Filled by
     /// [`crate::Server::stats`] from the live queue-depth mirror; zero when a
     /// [`StatsRecorder`] is snapshotted without a server attached.
@@ -53,6 +57,7 @@ pub struct StatsRecorder {
     pub(crate) sheds: Counter,
     pub(crate) fallback_served: Counter,
     pub(crate) deadline_misses: Counter,
+    pub(crate) forward_failures: Counter,
     /// Ring buffer of recent latencies in nanoseconds.
     latencies: OrderedMutex<Vec<u64>>,
     cursor: AtomicU64,
@@ -68,6 +73,7 @@ impl Default for StatsRecorder {
             sheds: Counter::default(),
             fallback_served: Counter::default(),
             deadline_misses: Counter::default(),
+            forward_failures: Counter::default(),
             latencies: OrderedMutex::new("serve.stats.latencies", Vec::new()),
             cursor: AtomicU64::new(0),
         }
@@ -116,6 +122,7 @@ impl StatsRecorder {
             sheds: self.sheds.get(),
             fallback_served: self.fallback_served.get(),
             deadline_misses: self.deadline_misses.get(),
+            forward_failures: self.forward_failures.get(),
             queue_depth: 0,
             p50_latency: p50,
             p95_latency: p95,

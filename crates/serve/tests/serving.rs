@@ -3,9 +3,10 @@
 
 use d2stgnn_baselines::{ClassicalForecaster, HistoricalAverage};
 use d2stgnn_core::{checkpoint, D2stgnn, D2stgnnConfig, TrafficModel};
-use d2stgnn_data::{simulate, SimulatorConfig, Split, WindowedDataset};
+use d2stgnn_data::{simulate, Batch, SimulatorConfig, Split, WindowedDataset};
 use d2stgnn_serve::{InferRequest, ModelFactory, ModelRegistry, ServeConfig, ServeError, Server};
-use d2stgnn_tensor::{no_grad, Array};
+use d2stgnn_tensor::nn::Module;
+use d2stgnn_tensor::{no_grad, Array, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -61,9 +62,18 @@ fn request_for(data: &WindowedDataset, split: Split, widx: usize, model: &str) -
 
 /// Register a fresh seed-`seed` model under `name`; returns its generation.
 fn register(registry: &ModelRegistry, data: &WindowedDataset, name: &str, seed: u64) -> u64 {
-    let factory = factory_for(data, seed);
+    register_factory(registry, data, name, factory_for(data, seed))
+}
+
+/// Register `factory`'s model under `name`; returns its generation.
+fn register_factory(
+    registry: &ModelRegistry,
+    data: &WindowedDataset,
+    name: &str,
+    factory: ModelFactory,
+) -> u64 {
     let model = factory();
-    let ckpt = checkpoint::snapshot(model.as_ref() as &dyn d2stgnn_tensor::nn::Module, name);
+    let ckpt = checkpoint::snapshot(model.as_ref() as &dyn Module, name);
     registry
         .register(
             name,
@@ -196,7 +206,7 @@ fn hot_swap_keeps_in_flight_requests_on_old_model() {
 
     // Reload with different weights mid-collection.
     let swapped = factory_for(&data, 1234)();
-    let ckpt = checkpoint::snapshot(swapped.as_ref() as &dyn d2stgnn_tensor::nn::Module, "v2");
+    let ckpt = checkpoint::snapshot(swapped.as_ref() as &dyn Module, "v2");
     let gen2 = registry.reload("d2stgnn", ckpt).unwrap();
     assert!(gen2 > gen1);
 
@@ -409,14 +419,134 @@ fn out_of_range_tod_and_non_finite_windows_are_rejected_and_the_worker_survives(
     server.shutdown().expect("clean shutdown");
 }
 
+/// What a [`Faulty`] model does when a batch holds its trigger slot.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    Panic,
+    NonFinite,
+}
+
+/// The time-of-day slot that sets a [`Faulty`] model off.
+const FAULT_SLOT: usize = 7;
+
+/// A D2STGNN that fails on any batch whose `tod` holds [`FAULT_SLOT`] and
+/// forecasts normally otherwise.
+struct Faulty {
+    inner: D2stgnn,
+    fault: Fault,
+}
+
+impl Module for Faulty {
+    fn parameters(&self) -> Vec<Tensor> {
+        self.inner.parameters()
+    }
+}
+
+impl TrafficModel for Faulty {
+    fn forward(&self, batch: &Batch, training: bool, rng: &mut StdRng) -> Tensor {
+        let out = self.inner.forward(batch, training, rng);
+        if !batch.tod.contains(&FAULT_SLOT) {
+            return out;
+        }
+        match self.fault {
+            Fault::Panic => panic!("injected forward fault at tod slot {FAULT_SLOT}"),
+            Fault::NonFinite => Tensor::constant(Array::full(&out.shape(), f32::NAN)),
+        }
+    }
+
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn horizon(&self) -> usize {
+        self.inner.horizon()
+    }
+
+    fn steps_per_day(&self) -> Option<usize> {
+        self.inner.steps_per_day()
+    }
+}
+
+#[test]
+fn a_failed_forward_is_answered_and_the_worker_survives() {
+    let data = dataset();
+    for fault in [Fault::Panic, Fault::NonFinite] {
+        for with_fallback in [false, true] {
+            let registry = Arc::new(ModelRegistry::new());
+            let cfg = model_config(data.num_nodes());
+            let network = data.data().network.clone();
+            let factory: ModelFactory = Arc::new(move || {
+                let mut rng = StdRng::seed_from_u64(7);
+                let inner = D2stgnn::new(cfg.clone(), &network, &mut rng);
+                Box::new(Faulty { inner, fault }) as Box<dyn TrafficModel>
+            });
+            register_factory(&registry, &data, "faulty", factory);
+            // One worker: if the failure ended it, nobody would answer the
+            // valid request queued behind the bad one.
+            let server = Server::start(
+                Arc::clone(&registry),
+                ServeConfig {
+                    workers: 1,
+                    max_batch: 1,
+                    max_wait: Duration::from_millis(1),
+                    queue_capacity: 8,
+                },
+            )
+            .expect("start server");
+            if with_fallback {
+                let mut ha = HistoricalAverage::new();
+                ha.fit(&data);
+                server.set_fallback(ha);
+            }
+
+            let mut bad = request_for(&data, Split::Test, 0, "faulty");
+            bad.tod.fill(FAULT_SLOT);
+            let good = request_for(&data, Split::Test, 1, "faulty");
+            assert!(!good.tod.contains(&FAULT_SLOT));
+            let bad = server.submit(bad).expect("bad request admitted");
+            let good = server.submit(good).expect("good request admitted");
+
+            let case = format!("{fault:?}, fallback {with_fallback}");
+            let forecast = good
+                .wait_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|| panic!("{case}: the worker no longer answers"))
+                .unwrap_or_else(|e| panic!("{case}: valid request failed: {e}"));
+            assert!(!forecast.fallback, "{case}");
+            assert!(
+                forecast.values.data().iter().all(|v| v.is_finite()),
+                "{case}"
+            );
+
+            let answer = bad
+                .wait_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|| panic!("{case}: the failed request got no answer"));
+            match (answer, with_fallback) {
+                (Ok(forecast), true) => {
+                    assert!(forecast.fallback, "{case}");
+                    assert_eq!(forecast.model, "HA", "{case}");
+                }
+                (Err(ServeError::Internal(_)), false) => {}
+                (other, _) => panic!("{case}: unexpected answer {other:?}"),
+            }
+
+            let stats = server.stats();
+            assert_eq!(stats.requests, 2, "{case}");
+            assert_eq!(stats.completed + stats.forward_failures, 2, "{case}");
+            assert_eq!(stats.forward_failures, 1, "{case}");
+            assert_eq!(stats.fallback_served, u64::from(with_fallback), "{case}");
+            assert_eq!(stats.batches, 2, "{case}");
+            server.shutdown().expect("clean shutdown");
+        }
+    }
+}
+
 #[test]
 fn registry_rejects_corrupt_checkpoints_and_unknown_reloads() {
     let data = dataset();
     let registry = ModelRegistry::new();
     let factory = factory_for(&data, 7);
     let model = factory();
-    let mut ckpt =
-        checkpoint::snapshot(model.as_ref() as &dyn d2stgnn_tensor::nn::Module, "d2stgnn");
+    let mut ckpt = checkpoint::snapshot(model.as_ref() as &dyn Module, "d2stgnn");
     // Corrupt one weight after the checksum was computed.
     ckpt.parameters[0].data_mut()[0] += 1.0;
     let err = registry
@@ -424,7 +554,7 @@ fn registry_rejects_corrupt_checkpoints_and_unknown_reloads() {
         .expect_err("corrupt checkpoint");
     assert!(matches!(err, ServeError::Checkpoint(_)), "got {err}");
 
-    let ckpt = checkpoint::snapshot(model.as_ref() as &dyn d2stgnn_tensor::nn::Module, "d2stgnn");
+    let ckpt = checkpoint::snapshot(model.as_ref() as &dyn Module, "d2stgnn");
     let err = registry.reload("missing", ckpt).expect_err("unknown name");
     assert!(matches!(err, ServeError::UnknownModel(_)));
     assert!(registry.names().is_empty());

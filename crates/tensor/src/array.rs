@@ -300,27 +300,19 @@ impl Array {
         assert_eq!(perm.len(), self.rank(), "permute: wrong length");
         let mut seen = vec![false; perm.len()];
         for &p in perm {
-            assert!(p < perm.len() && !seen[p], "permute: invalid permutation");
-            seen[p] = true;
+            let fresh = seen.get_mut(p).is_some_and(|s| !std::mem::replace(s, true));
+            assert!(fresh, "permute: invalid permutation");
         }
-        let new_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
-        let old_strides = strides_for(&self.shape);
-        let permuted_strides: Vec<usize> = perm.iter().map(|&p| old_strides[p]).collect();
-        // Iterate output row-major; gather from source via permuted strides.
-        let n = numel(&new_shape);
-        let mut data = buffers::acquire_with_capacity(n);
-        let mut coords = vec![0usize; new_shape.len()];
-        for _ in 0..n {
-            data.push(self.data[ravel(&coords, &permuted_strides)]);
-            // increment coords
-            for ax in (0..new_shape.len()).rev() {
-                coords[ax] += 1;
-                if coords[ax] < new_shape[ax] {
-                    break;
-                }
-                coords[ax] = 0;
-            }
-        }
+        // Output axis `i` is source axis `perm[i]`: its extent and stride.
+        let axes: Vec<(usize, usize)> = self
+            .shape
+            .iter()
+            .copied()
+            .zip(strides_for(&self.shape))
+            .collect();
+        let (new_shape, strides): (Vec<usize>, Vec<usize>) =
+            perm.iter().filter_map(|&p| axes.get(p).copied()).unzip();
+        let data = gather(&self.data, &new_shape, &strides);
         Self::from_parts(new_shape, data)
     }
 
@@ -346,20 +338,7 @@ impl Array {
         if self.shape == target {
             return Ok(self.clone());
         }
-        let bstrides = broadcast_strides(&self.shape, target);
-        let n = numel(target);
-        let mut data = buffers::acquire_with_capacity(n);
-        let mut coords = vec![0usize; target.len()];
-        for _ in 0..n {
-            data.push(self.data[ravel(&coords, &bstrides)]);
-            for ax in (0..target.len()).rev() {
-                coords[ax] += 1;
-                if coords[ax] < target[ax] {
-                    break;
-                }
-                coords[ax] = 0;
-            }
-        }
+        let data = gather(&self.data, target, &broadcast_strides(&self.shape, target));
         Ok(Self::from_parts(target.to_vec(), data))
     }
 
@@ -419,22 +398,24 @@ impl Array {
             .unwrap_or_else(|e| crate::error::violation(format_args!("elementwise op: {e}")));
         let sa = broadcast_strides(&self.shape, &out_shape);
         let sb = broadcast_strides(&other.shape, &out_shape);
-        let n = numel(&out_shape);
-        let mut data = buffers::acquire_with_capacity(n);
-        let mut coords = vec![0usize; out_shape.len()];
-        for _ in 0..n {
-            data.push(f(
-                self.data[ravel(&coords, &sa)],
-                other.data[ravel(&coords, &sb)],
-            ));
-            for ax in (0..out_shape.len()).rev() {
-                coords[ax] += 1;
-                if coords[ax] < out_shape[ax] {
-                    break;
+        let mut data = buffers::acquire_with_capacity(numel(&out_shape));
+        let walk = Walk::new(&out_shape, [(&self.data, &sa), (&other.data, &sb)]);
+        let (len, [step_a, step_b]) = walk.row;
+        for_each_offset(&walk.outer, |[oa, ob]| {
+            match (
+                Run::new(&self.data, oa, step_a, len),
+                Run::new(&other.data, ob, step_b, len),
+            ) {
+                (Run::Slice(x), Run::Slice(y)) => {
+                    data.extend(x.iter().zip(y).map(|(&x, &y)| f(x, y)));
                 }
-                coords[ax] = 0;
+                (Run::Slice(x), Run::Fill(y)) => data.extend(x.iter().map(|&x| f(x, y))),
+                (Run::Fill(x), Run::Slice(y)) => data.extend(y.iter().map(|&y| f(x, y))),
+                (Run::Fill(x), Run::Fill(y)) => data.extend(std::iter::repeat_n(f(x, y), len)),
+                // Broadcast strides are 0 or 1 along the row.
+                _ => crate::error::violation("elementwise op: a strided row"),
             }
-        }
+        });
         Self::from_parts(out_shape, data)
     }
 
@@ -645,10 +626,12 @@ impl Array {
 
     /// Matrix multiplication.
     ///
-    /// Supports `[m,k] x [k,n]`, batched `[b,m,k] x [b,k,n]`, and mixed
-    /// `[b,m,k] x [k,n]` / `[m,k] x [b,k,n]` (the rank-2 side is broadcast
-    /// across the batch). Large problems run as a tiled GEMM on the
-    /// compute pool; results are bit-identical to the serial kernel.
+    /// Supports `[m,k] x [k,n]`, mixed `[b,m,k] x [k,n]` / `[m,k] x [b,k,n]`
+    /// (the rank-2 side is broadcast across the batch), and grouped
+    /// `[g,m,k] x [g·t,k,n]`, where lhs page `i` multiplies rhs pages
+    /// `i·t .. (i+1)·t`; `t = 1` is the plain batched product. Large
+    /// problems run as a tiled GEMM on the compute pool; results are
+    /// bit-identical to the serial kernel.
     pub fn matmul(&self, other: &Self) -> Self {
         match (self.rank(), other.rank()) {
             (2, 2) => self.matmul2(other),
@@ -679,19 +662,24 @@ impl Array {
                     other.shape[1]
                 );
                 let n = other.shape[2];
-                self.matmul_batched(other, b, m, k, n, false)
+                self.matmul_batched(other, b, b, m, k, n)
             }
             (3, 3) => {
-                assert_eq!(self.shape[0], other.shape[0], "matmul: batch mismatch");
-                let b = self.shape[0];
-                let (m, k) = (self.shape[1], self.shape[2]);
+                let (groups, m, k) = (self.shape[0], self.shape[1], self.shape[2]);
+                let b = other.shape[0];
+                let group = b.checked_div(groups).unwrap_or(0);
+                assert_eq!(
+                    groups * group,
+                    b,
+                    "matmul: batch {b} is not a multiple of {groups}"
+                );
                 assert_eq!(
                     k, other.shape[1],
                     "matmul: inner dims {k} vs {}",
                     other.shape[1]
                 );
                 let n = other.shape[2];
-                self.matmul_batched(other, b, m, k, n, true)
+                self.matmul_batched(other, b, group, m, k, n)
             }
             (a, b) => {
                 crate::error::violation(format_args!("matmul: unsupported ranks {a} and {b}"))
@@ -751,9 +739,11 @@ impl Array {
     }
 
     /// Batched matmul pooled over the combined batch × row-panel space.
-    /// When `lhs_batched`, `self` is `[b,m,k]`; otherwise `self` is `[m,k]`
-    /// shared across the batch. `other` is always `[b,k,n]` here (the
-    /// `[b,m,k] x [k,n]` case reduces to a single rank-2 multiply).
+    /// `other` is `[b,k,n]` (the `[b,m,k] x [k,n]` case reduces to a single
+    /// rank-2 multiply) and `self` holds `b / group` pages of `[m,k]`:
+    /// output page `i` multiplies lhs page `i / group` by rhs page `i`. So
+    /// `group == 1` is `[b,m,k] x [b,k,n]` and `group == b` is one `[m,k]`
+    /// shared across the batch.
     ///
     /// Every batch element's B page is packed once up front (the packed
     /// layout is `k*n` floats per element, see [`gemm::pack_b_all`]), then
@@ -766,11 +756,12 @@ impl Array {
         &self,
         other: &Self,
         b: usize,
+        group: usize,
         m: usize,
         k: usize,
         n: usize,
-        lhs_batched: bool,
     ) -> Self {
+        let lhs_page = move |bi: usize| bi.checked_div(group).unwrap_or(0) * m * k;
         let shape = vec![b, m, n];
         let flops = b.saturating_mul(m).saturating_mul(k).saturating_mul(n);
         let packed = gemm::pack_b_all(&other.data, b, k, n);
@@ -790,14 +781,10 @@ impl Array {
                         let bi = start / (m * n);
                         let i0 = (start - bi * m * n) / n;
                         let rows = ((m - i0) * n).min(rest.len()) / n;
-                        let a_block = if lhs_batched {
-                            &a[bi * m * k + i0 * k..bi * m * k + (i0 + rows) * k]
-                        } else {
-                            &a[i0 * k..(i0 + rows) * k]
-                        };
+                        let page = lhs_page(bi);
                         let (chunk_out, tail) = std::mem::take(&mut rest).split_at_mut(rows * n);
                         gemm::block(
-                            a_block,
+                            &a[page + i0 * k..page + (i0 + rows) * k],
                             k,
                             &packed[bi * k * n..(bi + 1) * k * n],
                             n,
@@ -812,13 +799,9 @@ impl Array {
         } else {
             let mut data = Buffer::zeroed(b * m * n);
             for bi in 0..b {
-                let a_block = if lhs_batched {
-                    &self.data[bi * m * k..(bi + 1) * m * k]
-                } else {
-                    &self.data[..]
-                };
+                let page = lhs_page(bi);
                 gemm::block(
-                    a_block,
+                    &self.data[page..page + m * k],
                     k,
                     &packed[bi * k * n..(bi + 1) * k * n],
                     n,
@@ -981,6 +964,147 @@ impl Array {
     }
 }
 
+// ----------------------------------------------------------------------
+// Strided row walk: the one layout-copy loop behind `permute`,
+// `broadcast_to` and broadcasting `zip`
+// ----------------------------------------------------------------------
+
+/// The geometry of a walk over a row-major output of `K` strided operands.
+/// Unit axes are dropped and adjacent axes that every operand walks as one
+/// (`stride[i] == stride[i+1] · extent[i+1]`) are merged, so the row is as
+/// long as the layouts allow.
+struct Walk<const K: usize> {
+    /// Axes above the row, outermost first: `(extent, stride per operand)`.
+    outer: Vec<(usize, [usize; K])>,
+    /// The innermost axis: its length and each operand's stride along it.
+    row: (usize, [usize; K]),
+}
+
+impl<const K: usize> Walk<K> {
+    /// `operands` holds, per operand, its data and its element stride along
+    /// each output axis of `shape` (0 on a broadcast axis). Fails through
+    /// [`crate::error::violation`] unless every operand's last offset lies
+    /// inside its data, so each row [`Run::new`] cuts is in range.
+    fn new(shape: &[usize], operands: [(&[f32], &[usize]); K]) -> Self {
+        if shape.contains(&0) {
+            // An empty output: no rows at all.
+            return Self {
+                outer: vec![(0, [0; K])],
+                row: (0, [0; K]),
+            };
+        }
+        let mut axes: Vec<(usize, [usize; K])> = Vec::with_capacity(shape.len());
+        let mut last = [0usize; K];
+        for (i, &extent) in shape.iter().enumerate() {
+            if extent == 1 {
+                continue;
+            }
+            let step = operands.map(|(_, strides)| {
+                strides.get(i).copied().unwrap_or_else(|| {
+                    crate::error::violation(format_args!("layout walk: no stride for axis {i}"))
+                })
+            });
+            for (l, s) in last.iter_mut().zip(step) {
+                *l += (extent - 1) * s;
+            }
+            match axes.last_mut() {
+                Some((prev_extent, prev))
+                    if prev.iter().zip(&step).all(|(&p, &s)| p == s * extent) =>
+                {
+                    *prev_extent *= extent;
+                    *prev = step;
+                }
+                _ => axes.push((extent, step)),
+            }
+        }
+        for ((data, _), last) in operands.iter().zip(last) {
+            if last >= data.len() {
+                crate::error::violation(format_args!(
+                    "layout walk over {shape:?} reads element {last} of {}",
+                    data.len()
+                ));
+            }
+        }
+        let row = axes.pop().unwrap_or((1, [0; K]));
+        Self { outer: axes, row }
+    }
+}
+
+/// Call `f` with every operand's offset at each position of the row-major
+/// odometer over `axes` (`(extent, stride per operand)`, outermost first).
+/// Empty `axes` is a single position at offset 0.
+fn for_each_offset<const K: usize>(axes: &[(usize, [usize; K])], mut f: impl FnMut([usize; K])) {
+    let count: usize = axes.iter().map(|&(extent, _)| extent).product();
+    let mut coords = vec![0usize; axes.len()];
+    let mut offsets = [0usize; K];
+    for _ in 0..count {
+        f(offsets);
+        for (c, &(extent, step)) in coords.iter_mut().zip(axes).rev() {
+            *c += 1;
+            if *c < extent {
+                for (o, s) in offsets.iter_mut().zip(step) {
+                    *o += s;
+                }
+                break;
+            }
+            // Roll over: back to coordinate 0 on this axis, carry outward.
+            *c = 0;
+            for (o, s) in offsets.iter_mut().zip(step) {
+                *o -= s * (extent - 1);
+            }
+        }
+    }
+}
+
+/// One operand's elements along an output row of a [`Walk`].
+enum Run<'a> {
+    /// Stride 1: a contiguous slice.
+    Slice(&'a [f32]),
+    /// Stride 0: one value, repeated.
+    Fill(f32),
+    /// Any other stride: every `step`-th element of the slice, from its
+    /// first to its last.
+    Strided(&'a [f32], usize),
+}
+
+impl<'a> Run<'a> {
+    /// The `len` (at least 1) elements of `data` from `offset` at `stride`,
+    /// a row that [`Walk::new`] has checked lies inside `data`.
+    fn new(data: &'a [f32], offset: usize, stride: usize, len: usize) -> Self {
+        let span = match stride {
+            0 => 1,
+            step => (len - 1) * step + 1,
+        };
+        let Some(run) = data.get(offset..offset + span) else {
+            crate::error::violation(format_args!(
+                "layout walk: row {offset}..{} of {}",
+                offset + span,
+                data.len()
+            ))
+        };
+        match (stride, run) {
+            (1, _) => Run::Slice(run),
+            (0, &[v]) => Run::Fill(v),
+            (step, _) => Run::Strided(run, step),
+        }
+    }
+}
+
+/// Copy `src`, read through per-axis `strides` as an array of `shape`,
+/// into a new row-major buffer: a slice copy per contiguous row, a fill per
+/// stride-0 row, a strided gather otherwise.
+fn gather(src: &[f32], shape: &[usize], strides: &[usize]) -> Vec<f32> {
+    let mut data = buffers::acquire_with_capacity(numel(shape));
+    let walk = Walk::new(shape, [(src, strides)]);
+    let (len, [step]) = walk.row;
+    for_each_offset(&walk.outer, |[off]| match Run::new(src, off, step, len) {
+        Run::Slice(s) => data.extend_from_slice(s),
+        Run::Fill(v) => data.extend(std::iter::repeat_n(v, len)),
+        Run::Strided(s, stride) => data.extend(s.iter().step_by(stride)),
+    });
+    data
+}
+
 /// Standard normal distribution via Box–Muller (avoids rand_distr dependency).
 struct StandardNormal;
 
@@ -1040,6 +1164,10 @@ mod tests {
         assert_eq!(a.div(&a).sum_all(), 6.0);
         assert_eq!(a.scale(2.0).data()[5], 12.0);
         assert_eq!(a.add_scalar(1.0).data()[0], 2.0);
+        // A unit operand against an empty one gives an empty result.
+        let empty = Array::zeros(&[0, 3]);
+        assert_eq!(empty.add(&arr(&[1, 1], &[1.])).shape(), &[0, 3]);
+        assert_eq!(arr(&[1], &[1.]).broadcast_to(&[0]).unwrap().numel(), 0);
     }
 
     #[test]

@@ -235,12 +235,28 @@ impl Tensor {
     // Linear algebra
     // ------------------------------------------------------------------
 
-    /// Matrix multiplication (2-D, batched 3-D, or mixed; see [`Array::matmul`]).
+    /// Matrix multiplication (2-D, batched or grouped 3-D, or mixed; see
+    /// [`Array::matmul`]).
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let _prof = crate::profile::op_scope("matmul");
         let (av, bv) = (self.value(), other.value());
         let out = av.matmul(&bv);
         let (ra, rb) = (av.rank(), bv.rank());
+        // When several rhs pages share one lhs page — `[m,k] x [b,k,n]` (one
+        // group of `b`) or grouped `[g,m,k] x [g·t,k,n]` with `t > 1` — dA
+        // sums each group's `g·Bᵀ` pages, from zero in ascending page order:
+        // the `[g, t, m, k]` view summed over axis 1. A plain batched
+        // product has one page per group and skips the copy; its bits would
+        // not change anyway, as a GEMM accumulates from `+0.0` and so never
+        // yields the `-0.0` that a sum from zero would flip.
+        let a_shape = av.shape().to_vec();
+        let grouped = match (av.shape(), bv.shape()) {
+            (&[m, k], &[b, _, _]) => Some([1, b, m, k]),
+            (&[groups, m, k], &[b, _, _]) if b != groups => {
+                Some([groups, b.checked_div(groups).unwrap_or(0), m, k])
+            }
+            _ => None,
+        };
         // The closure captures a parent's value only if the *other* parent
         // needs a gradient (dA needs B, dB needs A); a matmul against a
         // frozen weight or constant input then retains nothing for it.
@@ -250,9 +266,16 @@ impl Tensor {
             out,
             vec![self.clone(), other.clone()],
             Box::new(move |g| {
-                let da = bv.as_ref().map(|bv| match (ra, rb) {
-                    (2, 3) => g.matmul(&bv.transpose()).sum_axis(0, false),
-                    _ => g.matmul(&bv.transpose()),
+                let da = bv.as_ref().map(|bv| {
+                    let da = g.matmul(&bv.transpose());
+                    match grouped {
+                        Some(view) => {
+                            let pages = crate::error::require(da.reshape(&view), "matmul grad");
+                            let summed = pages.sum_axis(1, false);
+                            crate::error::require(summed.reshape(&a_shape), "matmul grad")
+                        }
+                        None => da,
+                    }
                 });
                 let db = av.as_ref().map(|av| match (ra, rb) {
                     (3, 2) => av.transpose().matmul(g).sum_axis(0, false),

@@ -21,7 +21,8 @@ pub fn numel(shape: &[usize]) -> usize {
 /// NumPy-style broadcast of two shapes.
 ///
 /// Dimensions are aligned from the right; each pair must be equal or one of
-/// them must be 1. Returns the broadcast result shape.
+/// them must be 1, and the result takes the other one (so 1 against 0 is 0).
+/// Returns the broadcast result shape.
 pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Result<Vec<usize>, TensorError> {
     let rank = a.len().max(b.len());
     let mut out = vec![0usize; rank];
@@ -37,7 +38,7 @@ pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Result<Vec<usize>, TensorEr
             b[i - (rank - b.len())]
         };
         if da == db || da == 1 || db == 1 {
-            out[i] = da.max(db);
+            out[i] = if da == 1 { db } else { da };
         } else {
             return Err(TensorError::ShapeMismatch {
                 op: "broadcast",
@@ -123,6 +124,9 @@ mod tests {
         assert_eq!(broadcast_shapes(&[3], &[2, 3]).unwrap(), vec![2, 3]);
         assert_eq!(broadcast_shapes(&[1], &[4, 5, 6]).unwrap(), vec![4, 5, 6]);
         assert!(broadcast_shapes(&[2, 3], &[2, 4]).is_err());
+        // A unit axis stretches to an empty one, as in NumPy.
+        assert_eq!(broadcast_shapes(&[1, 3], &[0, 1]).unwrap(), vec![0, 3]);
+        assert_eq!(broadcast_shapes(&[0], &[2, 1]).unwrap(), vec![2, 0]);
     }
 
     #[test]

@@ -40,9 +40,9 @@ fn arr(shape: &[usize], seed: u32) -> Array {
 }
 
 /// The reference workload: every kernel family the pool dispatches —
-/// 2-D and batched matmul (awkward non-tile-multiple shapes), elementwise
-/// binary/unary chains spanning multiple chunks, and axis reductions —
-/// concatenated into one flat output vector.
+/// 2-D, batched and grouped matmul (awkward non-tile-multiple shapes),
+/// elementwise binary/unary chains spanning multiple chunks, layout walks,
+/// and axis reductions — concatenated into one flat output vector.
 fn workload() -> Vec<f32> {
     let mut out = Vec::new();
 
@@ -83,6 +83,24 @@ fn workload() -> Vec<f32> {
     let sq = CsrMatrix::from_dense(&arr(&[29, 29], 17), 0.25).unwrap();
     let prod = sq.matmul_sparse(&sq.transpose()).unwrap().to_dense();
     out.extend_from_slice(prod.data());
+
+    // Layout walks through the autograd ops: a transpose of oblong pages,
+    // broadcasting adds of a row and a column operand, and a general
+    // permute.
+    let p = Tensor::constant(arr(&[4, 37, 45], 18));
+    let row = Tensor::constant(arr(&[37], 19));
+    let col = Tensor::constant(arr(&[4, 45, 1], 20));
+    let walked = p.transpose().add(&row).add(&col).permute(&[2, 0, 1]);
+    out.extend_from_slice(walked.value().data());
+
+    // Grouped matmul [3,m,k] x [3·5,k,n] and both of its gradients.
+    let g = Tensor::parameter(arr(&[3, 19, 23], 21));
+    let h = Tensor::parameter(arr(&[15, 23, 17], 22));
+    let grouped = g.matmul(&h);
+    out.extend_from_slice(grouped.value().data());
+    grouped.square().sum_all().backward();
+    out.extend_from_slice(g.grad().unwrap().data());
+    out.extend_from_slice(h.grad().unwrap().data());
 
     // Axis reductions over both an outer and the inner axis, plus scalars.
     let r = arr(&[48, 1031], 10);

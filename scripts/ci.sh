@@ -27,6 +27,12 @@ cargo test -q
 # unit and integration tests are run by no other stage below.
 cargo test -q -p d2stgnn-graph -p d2stgnn-data -p d2stgnn-baselines -p d2stgnn-bench
 
+# Every other tensor stage runs with debug assertions and overflow checks on;
+# this one runs the suite (the layout walks' offset arithmetic, the
+# threads x SIMD determinism matrix) under the codegen perfbench ships.
+echo "==> tensor tests with release codegen"
+cargo test -q --release -p d2stgnn-tensor
+
 echo "==> xlint (workspace static analysis, ratcheted against xlint_report.json)"
 cargo test -q -p xlint
 mkdir -p target/experiments
@@ -196,11 +202,29 @@ print(
 )
 EOF
 
-echo "==> tracing overhead smoke (obsv inert baseline vs live, same binary)"
-cargo run -q --release -p d2stgnn-bench --bin tracing_overhead -- --fast
-cargo run -q --release -p d2stgnn-bench --features obsv --bin tracing_overhead -- --fast
+echo "==> tracing overhead smoke (obsv inert baseline vs live, same binary; 5 alternated pairs)"
+# One inert run and one live run form a pair. The two run seconds apart on a
+# shared host whose speed drifts by more than the cost under test, so one
+# pair can read well above or below it: the bar applies to the median of
+# five alternated pairs. 960 requests keep each trial a few hundred ms long
+# at today's serve throughput (96 requests took about 45 ms).
+cargo build -q --release -p d2stgnn-bench --bin tracing_overhead
+cp target/release/tracing_overhead target/experiments/tracing_overhead_inert
+cargo build -q --release -p d2stgnn-bench --features obsv --bin tracing_overhead
+cp target/release/tracing_overhead target/experiments/tracing_overhead_live
+: > target/experiments/tracing_overhead_pairs.txt
+for _ in 1 2 3 4 5; do
+  target/experiments/tracing_overhead_inert --fast --requests 960
+  target/experiments/tracing_overhead_live --fast --requests 960
+  python3 -c '
+import json
+res = json.load(open("target/experiments/BENCH_tracing_overhead.json"))["results"]
+res = json.loads(res) if isinstance(res, str) else res
+print(res["overhead_pct"])' >> target/experiments/tracing_overhead_pairs.txt
+done
 python3 - <<'EOF'
 import json
+import statistics
 doc = json.load(open("target/experiments/BENCH_tracing_overhead.json"))
 assert doc["schema"] == "d2stgnn-bench-v1", doc["schema"]
 assert doc["name"] == "tracing_overhead"
@@ -208,17 +232,21 @@ res = doc["results"]
 res = json.loads(res) if isinstance(res, str) else res
 assert res["obsv_enabled"] is True
 assert res["baseline_req_per_s"] > 0 and res["traced_req_per_s"] > 0
+pairs = [float(x) for x in open("target/experiments/tracing_overhead_pairs.txt").read().split()]
+assert len(pairs) == 5, pairs
+overhead = statistics.median(pairs)
 # The smoke run is short and scheduler-noisy; require only that tracing is
 # not catastrophically slow. The committed full-run artifact is where the
 # < 3% acceptance bar is enforced.
-assert res["overhead_pct"] < 15.0, res["overhead_pct"]
+assert overhead < 15.0, pairs
 committed = json.load(open("BENCH_tracing_overhead.json"))
 full = committed["results"]
 full = json.loads(full) if isinstance(full, str) else full
 assert full["obsv_enabled"] is True
 assert full["overhead_pct"] < 3.0, full["overhead_pct"]
 print(
-    f"tracing overhead OK: {res['overhead_pct']:+.2f}% live (smoke), "
+    f"tracing overhead OK: {overhead:+.2f}% live (median of pairs "
+    f"{', '.join(f'{p:+.1f}' for p in pairs)}), "
     f"{full['overhead_pct']:+.2f}% committed (bar < 3%)"
 )
 EOF
