@@ -8,6 +8,7 @@ use d2stgnn_baselines::{
 };
 use d2stgnn_core::{BlockOrder, D2stgnn, D2stgnnConfig, TrafficModel, TrainConfig, Trainer};
 use d2stgnn_data::{DatasetId, Metrics, Profile, Split, WindowedDataset};
+use d2stgnn_tensor::pool;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -269,99 +270,13 @@ pub fn run_model(
             null_val,
         ),
         ModelSpec::Svr => run_classical_model(&mut LinearSvr::new(), dataset, data, null_val),
-        ModelSpec::FcLstm => {
-            let (hidden, ..) = model_size(profile);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = FcLstm::new(data.num_nodes(), hidden * 4, data.tf(), &mut rng);
-            run_neural_model(&model, dataset, data, profile, true, seed)
-        }
-        ModelSpec::Dcrnn => {
-            let (hidden, ..) = model_size(profile);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = Dcrnn::new(&data.data().network.clone(), hidden, 2, data.tf(), &mut rng);
-            run_neural_model(&model, dataset, data, profile, true, seed)
-        }
-        ModelSpec::Stgcn => {
-            let (hidden, ..) = model_size(profile);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = Stgcn::new(&data.data().network.clone(), hidden, data.tf(), &mut rng);
-            run_neural_model(&model, dataset, data, profile, true, seed)
-        }
-        ModelSpec::GWnet => {
-            let (hidden, ..) = model_size(profile);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = GraphWaveNet::new(
-                &data.data().network.clone(),
-                hidden,
-                data.tf(),
-                true,
-                &mut rng,
-            );
-            run_neural_model(&model, dataset, data, profile, true, seed)
-        }
-        ModelSpec::Astgcn => {
-            let (hidden, ..) = model_size(profile);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = Astgcn::new(&data.data().network.clone(), hidden, data.tf(), &mut rng);
-            run_neural_model(&model, dataset, data, profile, true, seed)
-        }
-        ModelSpec::Stsgcn => {
-            let (hidden, ..) = model_size(profile);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = Stsgcn::new(&data.data().network.clone(), hidden, data.tf(), &mut rng);
-            run_neural_model(&model, dataset, data, profile, true, seed)
-        }
-        ModelSpec::Mtgnn => {
-            let (hidden, ..) = model_size(profile);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = Mtgnn::new(data.num_nodes(), hidden, data.tf(), &mut rng);
-            run_neural_model(&model, dataset, data, profile, true, seed)
-        }
-        ModelSpec::Gman => {
-            let (hidden, _, _, heads) = model_size(profile);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = Gman::new(
-                data.num_nodes(),
-                data.data().steps_per_day,
-                hidden,
-                heads,
-                2,
-                data.tf(),
-                &mut rng,
-            );
-            run_neural_model(&model, dataset, data, profile, true, seed)
-        }
-        ModelSpec::Dgcrn { dynamic } => {
-            let (hidden, ..) = model_size(profile);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = Dgcrn::new(
-                &data.data().network.clone(),
-                hidden,
-                2,
-                data.tf(),
-                *dynamic,
-                &mut rng,
-            );
-            run_neural_model(&model, dataset, data, profile, true, seed)
-        }
-        ModelSpec::D2(variant) => {
-            let mut cfg = d2_config(data, profile);
-            variant.apply(&mut cfg);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = D2stgnn::new(cfg, &data.data().network.clone(), &mut rng);
-            let mut result =
-                run_neural_model(&model, dataset, data, profile, variant.curriculum(), seed);
-            result.model = variant.label().to_string();
-            result
-        }
-        ModelSpec::D2WithoutDecouple => {
-            let mut cfg = d2_config(data, profile);
-            D2Variant::apply_decouple_only(&mut cfg);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let model = D2stgnn::new(cfg, &data.data().network.clone(), &mut rng);
-            let mut result = run_neural_model(&model, dataset, data, profile, true, seed);
-            result.model = "w/o decouple".to_string();
-            result
+        _ => {
+            let curriculum = match spec {
+                ModelSpec::D2(variant) => variant.curriculum(),
+                _ => true,
+            };
+            let cfg = train_config(profile, curriculum, seed);
+            run_neural_model(spec, dataset, data, profile, seed, cfg)
         }
     }
 }
@@ -383,24 +298,32 @@ fn run_classical_model<F: ClassicalForecaster>(
     }
 }
 
-fn run_neural_model<M: TrafficModel>(
-    model: &M,
+/// Build the neural model for `spec`, train it under `cfg`, and evaluate it
+/// on the test split. D²STGNN-family rows carry their paper label.
+fn run_neural_model(
+    spec: &ModelSpec,
     dataset: DatasetId,
     data: &WindowedDataset,
     profile: Profile,
-    curriculum: bool,
     seed: u64,
+    cfg: TrainConfig,
 ) -> RunResult {
-    let trainer = Trainer::new(train_config(profile, curriculum, seed));
-    let report = trainer.train(model, data).expect("training failed");
-    let eval = trainer.evaluate(model, data, Split::Test);
-    RunResult {
-        model: model.name(),
-        dataset: dataset.name().to_string(),
-        horizons: eval.horizons,
-        avg_epoch_seconds: report.avg_epoch_seconds,
-        params: model.num_parameters(),
+    let mut result = with_neural_model(spec, data, profile, seed, |model| {
+        let trainer = Trainer::new(cfg);
+        let report = trainer.train(model, data).expect("training failed");
+        let eval = trainer.evaluate(model, data, Split::Test);
+        RunResult {
+            model: model.name(),
+            dataset: dataset.name().to_string(),
+            horizons: eval.horizons,
+            avg_epoch_seconds: report.avg_epoch_seconds,
+            params: model.num_parameters(),
+        }
+    });
+    if matches!(spec, ModelSpec::D2(_) | ModelSpec::D2WithoutDecouple) {
+        result.model = spec.label();
     }
+    result
 }
 
 /// Like [`run_model`] but with a fixed two-epoch schedule: used by the
@@ -412,40 +335,18 @@ pub fn run_timing(
     profile: Profile,
     seed: u64,
 ) -> RunResult {
-    let timing_profile = profile; // model size follows the profile
-    let build_trainer = || {
-        let mut cfg = train_config(timing_profile, true, seed);
-        cfg.max_epochs = 2;
-        cfg.patience = 2;
-        Trainer::new(cfg)
-    };
-    match spec {
-        ModelSpec::Ha | ModelSpec::Var | ModelSpec::Svr => {
-            run_model(spec, dataset, data, profile, seed)
-        }
-        _ => {
-            let result = with_neural_model(spec, data, profile, seed, |model| {
-                let trainer = build_trainer();
-                let report = trainer.train(model, data).expect("training failed");
-                let eval = trainer.evaluate(model, data, Split::Test);
-                RunResult {
-                    model: model.name(),
-                    dataset: dataset.name().to_string(),
-                    horizons: eval.horizons,
-                    avg_epoch_seconds: report.avg_epoch_seconds,
-                    params: model.num_parameters(),
-                }
-            });
-            let mut result = result;
-            if let ModelSpec::D2(v) = spec {
-                result.model = v.label().to_string();
-            }
-            result
-        }
+    if matches!(spec, ModelSpec::Ha | ModelSpec::Var | ModelSpec::Svr) {
+        return run_model(spec, dataset, data, profile, seed);
     }
+    let mut cfg = train_config(profile, true, seed);
+    cfg.max_epochs = 2;
+    cfg.patience = 2;
+    run_neural_model(spec, dataset, data, profile, seed, cfg)
 }
 
-/// Build the neural model for `spec` and hand it to `f`.
+/// Build the neural model for `spec` and hand it to `f`. Every model draws
+/// its weights from a fresh `seed`-seeded generator, so the same seed builds
+/// the same weights.
 fn with_neural_model<T>(
     spec: &ModelSpec,
     data: &WindowedDataset,
@@ -453,7 +354,7 @@ fn with_neural_model<T>(
     seed: u64,
     f: impl FnOnce(&dyn TrafficModel) -> T,
 ) -> T {
-    let (hidden, ..) = model_size(profile);
+    let (hidden, _, _, heads) = model_size(profile);
     let mut rng = StdRng::seed_from_u64(seed);
     let net = data.data().network.clone();
     match spec {
@@ -469,18 +370,15 @@ fn with_neural_model<T>(
         ModelSpec::Astgcn => f(&Astgcn::new(&net, hidden, data.tf(), &mut rng)),
         ModelSpec::Stsgcn => f(&Stsgcn::new(&net, hidden, data.tf(), &mut rng)),
         ModelSpec::Mtgnn => f(&Mtgnn::new(data.num_nodes(), hidden, data.tf(), &mut rng)),
-        ModelSpec::Gman => {
-            let heads = model_size(profile).3;
-            f(&Gman::new(
-                data.num_nodes(),
-                data.data().steps_per_day,
-                hidden,
-                heads,
-                2,
-                data.tf(),
-                &mut rng,
-            ))
-        }
+        ModelSpec::Gman => f(&Gman::new(
+            data.num_nodes(),
+            data.data().steps_per_day,
+            hidden,
+            heads,
+            2,
+            data.tf(),
+            &mut rng,
+        )),
         ModelSpec::Dgcrn { dynamic } => {
             f(&Dgcrn::new(&net, hidden, 2, data.tf(), *dynamic, &mut rng))
         }
@@ -518,10 +416,12 @@ pub const BENCH_SCHEMA: &str = "d2stgnn-bench-v1";
 
 /// Write `target/experiments/BENCH_<name>.json`: a self-describing benchmark
 /// artifact bundling a unique run id, the configuration that produced the
-/// run, a snapshot of the telemetry registry (empty unless built with the
-/// `obsv` feature), and the run's results. `config_json` and `results_json`
-/// must be valid JSON documents (pass `"null"` when there is nothing to
-/// record).
+/// run, its metrics, and the run's results. The metrics are a snapshot of
+/// the telemetry registry (counters and histograms, empty unless built with
+/// the `obsv` feature) plus, under `pool`, the tensor compute pool's six
+/// series read from `pool::stats()` in either build. `config_json` and
+/// `results_json` must be valid JSON documents (pass `"null"` when there is
+/// nothing to record).
 pub fn write_bench_artifact(
     name: &str,
     config_json: &str,
@@ -552,7 +452,16 @@ fn compose_bench_artifact(
     };
     let config = parse("config", config_json)?;
     let results = parse("results", results_json)?;
-    let metrics = parse("metrics", &d2stgnn_obsv::registry().snapshot().to_json())?;
+    let mut metrics = parse("metrics", &d2stgnn_obsv::registry().snapshot().to_json())?;
+    if let serde::Value::Object(fields) = &mut metrics {
+        let pool = pool::stats().series().into_iter().map(|(name, _, value)| {
+            (
+                name.to_string(),
+                serde::Value::Number(serde::Number::PosInt(value)),
+            )
+        });
+        fields.push(("pool".into(), serde::Value::Object(pool.collect())));
+    }
     let doc = serde::Value::Object(vec![
         ("schema".into(), serde::Value::String(BENCH_SCHEMA.into())),
         ("run_id".into(), serde::Value::String(bench_run_id())),
@@ -598,7 +507,17 @@ mod tests {
         assert!(matches!(get("run_id"), serde::Value::String(s) if !s.is_empty()));
         assert_eq!(get("name"), &serde::Value::String("unit".into()));
         assert!(matches!(get("config"), serde::Value::Object(_)));
-        assert!(matches!(get("metrics"), serde::Value::Object(_)));
+        let serde::Value::Object(metrics) = get("metrics") else {
+            panic!("metrics must be an object");
+        };
+        let keys: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["counters", "histograms", "pool"]);
+        let Some((_, serde::Value::Object(pool))) = metrics.last() else {
+            panic!("pool must be an object");
+        };
+        let names: Vec<&str> = pool.iter().map(|(k, _)| k.as_str()).collect();
+        let want: Vec<&str> = pool::stats().series().iter().map(|s| s.0).collect();
+        assert_eq!(names, want);
         assert!(matches!(get("results"), serde::Value::Array(_)));
         assert!(compose_bench_artifact("bad", "{not json", "null").is_err());
     }

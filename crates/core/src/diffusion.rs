@@ -133,14 +133,14 @@ impl DiffusionBlock {
                 vec![MatrixRef::Static(p_f), MatrixRef::Static(p_b)]
             }
             Transitions::Dynamic { p_f, p_b } => {
-                vec![MatrixRef::PerWindow(p_f), MatrixRef::PerWindow(p_b)]
+                vec![MatrixRef::Learned(p_f), MatrixRef::Learned(p_b)]
             }
         };
         if self.cfg.use_adaptive {
             let Some(apt) = adaptive else {
                 crate::error::violation("use_adaptive requires an adaptive matrix")
             };
-            matrices.push(MatrixRef::Shared(apt));
+            matrices.push(MatrixRef::Learned(apt));
         }
 
         let mut h: Option<Tensor> = None;
@@ -151,7 +151,7 @@ impl DiffusionBlock {
             });
         };
         for (matrix, weights) in matrices.into_iter().zip(&self.conv_weights) {
-            let (base, per_window) = match matrix {
+            let base = match matrix {
                 MatrixRef::Static(powers) => {
                     if powers.len() != weights.len() {
                         crate::error::violation("the context's static powers must number k_s");
@@ -161,22 +161,16 @@ impl DiffusionBlock {
                     }
                     continue;
                 }
-                MatrixRef::Shared(base) => (base, false),
-                MatrixRef::PerWindow(base) => (base, true),
+                MatrixRef::Learned(base) => base,
             };
             let mut power = base.clone();
             for (k, weight) in weights.iter().enumerate() {
-                // Eq. 4's `⊙ (1 - I_N)`, then `masked · z` for every
-                // (window, time) pair.
-                let agg = if per_window {
-                    // A grouped product: window `bi`'s matrix multiplies its
-                    // own T_h pages of z, [B, N, N] x [B*Th, N, d].
-                    let mask = ctx.diag_mask().reshape(&[1, n, n]).broadcast_to(&[b, n, n]);
-                    power.mul(&mask).matmul(&z_flat)
-                } else {
-                    // [N, N] x [B*Th, N, d] broadcasts over the batch.
-                    power.mul(ctx.diag_mask()).matmul(&z_flat)
-                };
+                // Eq. 4's `⊙ (1 - I_N)`, the `[N, N]` mask broadcast inside
+                // `mul`, then `masked · z` for every (window, time) pair. An
+                // `[N, N]` power broadcasts over the batch of z; a per-window
+                // `[B, N, N]` one is a grouped product, window `bi`'s matrix
+                // multiplying its own T_h pages of z `[B·T_h, N, d]`.
+                let agg = power.mul(ctx.diag_mask()).matmul(&z_flat);
                 add(weight.forward(&agg));
                 if k + 1 < weights.len() {
                     power = power.matmul(base);
@@ -211,10 +205,9 @@ impl DiffusionBlock {
 enum MatrixRef<'a> {
     /// A static road-network transition's `[mask(P^1), ..., mask(P^{k_s})]`.
     Static(&'a [MaskedPower]),
-    /// The adaptive `P_apt` `[N, N]`, shared by every window.
-    Shared(&'a Tensor),
-    /// A dynamic `P^{dy}` `[B, N, N]`, one per window.
-    PerWindow(&'a Tensor),
+    /// A learned matrix: the adaptive `P_apt` `[N, N]`, shared by every
+    /// window, or a dynamic `P^{dy}` `[B, N, N]`, one per window.
+    Learned(&'a Tensor),
 }
 
 impl Module for DiffusionBlock {

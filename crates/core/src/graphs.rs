@@ -288,16 +288,9 @@ impl DynamicGraphLearner {
             let k = self.wk.forward(df);
             q.matmul(&k.transpose()).scale(scale).softmax(2)
         };
-        let p_f_dy = ctx
-            .p_f()
-            .reshape(&[1, n, n])
-            .broadcast_to(&[b, n, n])
-            .mul(&mask_from(&df_u));
-        let p_b_dy = ctx
-            .p_b()
-            .reshape(&[1, n, n])
-            .broadcast_to(&[b, n, n])
-            .mul(&mask_from(&df_d));
+        // `[N, N] ⊙ [B, N, N]`: `mul` broadcasts P over the windows.
+        let p_f_dy = ctx.p_f().mul(&mask_from(&df_u));
+        let p_b_dy = ctx.p_b().mul(&mask_from(&df_d));
         (p_f_dy, p_b_dy)
     }
 }

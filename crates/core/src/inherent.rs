@@ -100,7 +100,8 @@ impl InherentBlock {
                 "positional encoding reshape",
             );
             let pe = Tensor::constant(pe_arr);
-            let with_pe = h.add(&pe.broadcast_to(&[b * n, th, d]));
+            // `[B·N, T_h, d] + [1, T_h, d]`: `add` broadcasts the encoding.
+            let with_pe = h.add(&pe);
             let attended = msa
                 .forward(&with_pe)
                 .dropout(self.cfg.dropout, training, rng);

@@ -291,7 +291,6 @@ impl Trainer {
             }
             let mut epoch_span = d2stgnn_obsv::span!("d2stgnn_core_train_epoch", epoch = epoch);
             d2stgnn_obsv::record!(epoch_span, lr = f64::from(opt.learning_rate()));
-            d2stgnn_obsv::gauge_set!("d2stgnn_core_train_lr", f64::from(opt.learning_rate()));
             let start = Instant::now();
             let bs = self.cfg.batch_size.max(1);
             let num_batches = vars.epoch_order.len().div_ceil(bs);

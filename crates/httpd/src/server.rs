@@ -27,7 +27,7 @@ use crate::router::{RouteKey, ShardRouter};
 use d2stgnn_obsv::{write_sample, write_type, Counter, TraceHandle};
 use d2stgnn_serve::lockorder::{self, OrderedMutex};
 use d2stgnn_serve::{InferRequest, ServeError, ServerStats};
-use d2stgnn_tensor::Array;
+use d2stgnn_tensor::{pool, Array};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -304,21 +304,18 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let mut stream = Some(stream);
-                let mut depth = 0;
-                {
+                let rejected = {
                     let mut conns = shared.conns.lock();
                     if conns.len() < shared.config.max_pending_connections {
-                        if let Some(s) = stream.take() {
-                            conns.push_back(s);
-                        }
-                        depth = conns.len();
+                        conns.push_back(stream);
+                        None
+                    } else {
+                        Some(stream)
                     }
-                }
-                match stream {
+                };
+                match rejected {
                     None => {
                         shared.stats.connections_accepted.add(1);
-                        d2stgnn_obsv::gauge_set!("d2stgnn_httpd_pending_connections", depth as f64);
                         shared.notify.notify_one();
                     }
                     Some(mut rejected) => {
@@ -358,10 +355,6 @@ fn worker_loop(shared: &Arc<Shared>) {
             let mut conns = shared.conns.lock();
             loop {
                 if let Some(stream) = conns.pop_front() {
-                    d2stgnn_obsv::gauge_set!(
-                        "d2stgnn_httpd_pending_connections",
-                        conns.len() as f64
-                    );
                     break Some(stream);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -575,11 +568,12 @@ fn tenant_tally(shared: &Arc<Shared>, tenant: &str, shed: bool) {
     }
 }
 
-/// `GET /metrics`: this server's counters, each router shard's serve
-/// counters labelled `shard="<id>"`, the per-tenant tallies, then the
-/// process-wide obsv registry (empty when the `obsv` feature is off). Each
-/// counter is read from the instance that owns it, and every line goes
-/// through obsv's two line writers.
+/// `GET /metrics`: this server's counters and gauges, the tensor compute
+/// pool's series, each router shard's serve series labelled
+/// `shard="<id>"`, the per-tenant tallies, then the process-wide obsv
+/// registry and SLO gauges (empty when the `obsv` feature is off). Each
+/// value is read from the instance that owns it as the scrape is written,
+/// and every line goes through obsv's two line writers.
 fn metrics(shared: &Arc<Shared>) -> Response {
     let mut out = String::with_capacity(2048);
     let snap = shared.stats.snapshot();
@@ -604,10 +598,17 @@ fn metrics(shared: &Arc<Shared>) -> Response {
         write_type(&mut out, name, "counter");
         write_sample(&mut out, name, &[], value as f64);
     }
+    let pending = shared.conns.lock().len() as u64;
     let shards = shared.router.shard_stats();
-    write_type(&mut out, "d2stgnn_httpd_shards", "gauge");
-    write_sample(&mut out, "d2stgnn_httpd_shards", &[], shards.len() as f64);
-    let serve: [Family<ServerStats>; 8] = [
+    let gauges = [
+        ("d2stgnn_httpd_pending_connections", "gauge", pending),
+        ("d2stgnn_httpd_shards", "gauge", shards.len() as u64),
+    ];
+    for (name, kind, value) in gauges.into_iter().chain(pool::stats().series()) {
+        write_type(&mut out, name, kind);
+        write_sample(&mut out, name, &[], value as f64);
+    }
+    let serve: [Family<ServerStats>; 9] = [
         ("d2stgnn_serve_requests_total", "counter", |s| s.requests),
         ("d2stgnn_serve_completed_total", "counter", |s| s.completed),
         ("d2stgnn_serve_sheds_total", "counter", |s| s.sheds),
@@ -622,6 +623,7 @@ fn metrics(shared: &Arc<Shared>) -> Response {
         }),
         ("d2stgnn_serve_batches_total", "counter", |s| s.batches),
         ("d2stgnn_serve_queue_depth", "gauge", |s| s.queue_depth),
+        ("d2stgnn_serve_in_flight", "gauge", |s| s.in_flight),
     ];
     for family in serve {
         write_family(&mut out, family, "shard", &shards);
@@ -636,8 +638,6 @@ fn metrics(shared: &Arc<Shared>) -> Response {
     for family in per_tenant {
         write_family(&mut out, family, "tenant", &tenants);
     }
-    // Refresh the d2stgnn_slo_* gauges, then append the registry.
-    d2stgnn_obsv::publish_slo_gauges();
     out.push_str(&d2stgnn_obsv::render_prometheus());
     Response::text(200, out)
 }

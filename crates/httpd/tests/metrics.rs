@@ -1,6 +1,7 @@
 //! One `/metrics` contract for both feature builds. After a fixed exchange
 //! on a fresh server, the `d2stgnn_httpd_*` and `d2stgnn_serve_*` counter
-//! lines are exact, and every metric family is declared once under a valid
+//! lines are exact, the gauges and the tensor pool's series are read from
+//! their owners, and every metric family is declared once under a valid
 //! Prometheus name. CI runs this file with and without `--features obsv`;
 //! the obsv build appends the process-wide registry, which must not repeat
 //! a family the server writes.
@@ -10,6 +11,7 @@ mod common;
 use common::{dataset, forecast_json, shard, Client};
 use d2stgnn_httpd::{HttpServer, HttpdConfig, ShardRouter};
 use d2stgnn_serve::ServeConfig;
+use d2stgnn_tensor::pool;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,6 +48,7 @@ fn metrics_counters_are_exact_and_each_family_is_declared_once() {
     assert_eq!(client.read_response().expect("bad body").status, 400);
     client.get("/no/such/route");
     assert_eq!(client.read_response().expect("unknown route").status, 404);
+    let pool_before = pool::stats();
     client.get("/metrics");
     let scrape = client.read_response().expect("scrape");
     assert_eq!(scrape.status, 200);
@@ -100,9 +103,45 @@ fn metrics_counters_are_exact_and_each_family_is_declared_once() {
         ],
         "full scrape:\n{text}"
     );
-    assert_eq!(kinds.get("d2stgnn_serve_queue_depth"), Some(&"gauge"));
+    for (name, kind) in [
+        ("d2stgnn_serve_queue_depth", "gauge"),
+        ("d2stgnn_serve_in_flight", "gauge"),
+        ("d2stgnn_httpd_pending_connections", "gauge"),
+        ("d2stgnn_httpd_shards", "gauge"),
+        ("d2stgnn_tensor_pool_threads", "gauge"),
+        ("d2stgnn_tensor_pool_tasks_total", "counter"),
+        ("d2stgnn_tensor_pool_chunks_total", "counter"),
+        ("d2stgnn_tensor_bufpool_hits_total", "counter"),
+        ("d2stgnn_tensor_bufpool_misses_total", "counter"),
+        ("d2stgnn_tensor_bufpool_recycled_total", "counter"),
+    ] {
+        assert_eq!(kinds.get(name), Some(&kind), "{name} in:\n{text}");
+    }
     assert!(text.contains("\nd2stgnn_serve_queue_depth{shard=\"0\"} 0\n"));
+    // Every forward finished before its reply was written.
+    assert!(text.contains("\nd2stgnn_serve_in_flight{shard=\"0\"} 0\n"));
     assert!(text.contains("\nd2stgnn_httpd_shards 1\n"));
+    // The scrape's own connection left the queue before it was answered.
+    assert!(text.contains("\nd2stgnn_httpd_pending_connections 0\n"));
+    // The pool's series are read from `pool::stats()` as the scrape is
+    // written; its counters only grow.
+    let sample = |name: &str| -> f64 {
+        let line = text
+            .lines()
+            .find(|line| line.split(' ').next() == Some(name))
+            .unwrap_or_else(|| panic!("no {name} sample in:\n{text}"));
+        line.rsplit(' ')
+            .next()
+            .unwrap_or("")
+            .parse()
+            .expect("sample value")
+    };
+    assert_eq!(
+        sample("d2stgnn_tensor_pool_threads"),
+        pool_before.threads as f64
+    );
+    assert!(sample("d2stgnn_tensor_pool_tasks_total") >= pool_before.pooled_tasks as f64);
+    assert!(sample("d2stgnn_tensor_bufpool_hits_total") >= pool_before.bufpool_hits as f64);
     drop(client);
     server.shutdown().expect("shutdown");
 }

@@ -5,30 +5,33 @@
 //! binaries all report into, so a slow epoch or a p95 regression can be tied
 //! back to the op, batch, or queue that caused it.
 //!
-//! Four pieces, all std-only:
+//! Six pieces, all std-only:
 //!
 //! * **Spans** ([`SpanGuard`], built by the [`span!`] macro) — hierarchical
 //!   RAII timing scopes with parent ids and key=value fields. Dropping a
 //!   span emits one JSONL record and feeds a `<name>_seconds` histogram.
-//! * **Metrics** ([`Registry`], reached via [`counter_add!`], [`gauge_set!`],
-//!   [`gauge_add!`], [`observe!`]) — atomic counters, gauges, and
-//!   fixed-bucket log-scale histograms with p50/p95/p99 estimation.
+//! * **Metrics** ([`Registry`], reached via [`counter_add!`] and
+//!   [`observe!`]) — atomic counters and fixed-bucket log-scale histograms
+//!   with p50/p95/p99 estimation. There is no gauge kind: a point-in-time
+//!   value is read from the instance that owns it when an exposition is
+//!   written.
 //! * **JSONL sink** ([`init_jsonl`], [`flush`]) — a bounded, lock-light
 //!   buffer of newline-delimited JSON events, flushed at capacity and on
 //!   drop/shutdown.
 //! * **Prometheus exposition** ([`render_prometheus`]) — the registry
-//!   rendered in the Prometheus text format (counters, gauges, and
-//!   summaries with `quantile="0.5|0.95|0.99"` labels), with exemplar
-//!   trace ids on `_count` lines when histograms carry them. Its two line
-//!   writers, [`write_type`] and [`write_sample`], are public so a front
-//!   end exports its own instances' counters through the same code.
+//!   rendered in the Prometheus text format (counters, and summaries with
+//!   `quantile="0.5|0.95|0.99"` labels), with exemplar trace ids on
+//!   `_count` lines when histograms carry them. Its two line writers,
+//!   [`write_type`] and [`write_sample`], are public so a front end exports
+//!   its own instances' counters and gauges through the same code.
 //! * **Request traces** ([`TraceHandle`], [`make_request_id`]) — one
 //!   request-scoped context minted at the HTTP door and passed explicitly
 //!   through the serving envelope; tail-based sampling retains slow,
 //!   errored, and shed traces in a bounded ring ([`render_traces_json`]).
 //! * **SLOs** ([`slo_record`], [`render_slo_json`]) — availability and
-//!   latency objectives with 5 m / 1 h / 6 h burn rates, mirrored into
-//!   `d2stgnn_slo_*` gauges by [`publish_slo_gauges`].
+//!   latency objectives with 5 m / 1 h / 6 h burn rates, which
+//!   [`render_prometheus`] writes as `d2stgnn_slo_*` gauges from
+//!   [`slo_snapshot`].
 //!
 //! ## The `enabled` feature
 //!
@@ -41,16 +44,19 @@
 //! callers compile identically.
 //!
 //! The registry is process-wide, so it holds process-wide telemetry only
-//! (span and stage histograms, tensor and core counters). A counter that
-//! belongs to one instance, such as a serve `Server`, lives in that
-//! instance as a [`Counter`] cell and is exported with [`write_sample`].
+//! (span and stage histograms, core counters). A counter that belongs to one
+//! instance, such as a serve `Server`, lives in that instance as a
+//! [`Counter`] cell and is exported with [`write_sample`]; so are values
+//! whose owner keeps them anyway, like the tensor compute pool's counters.
 //!
 //! ## Naming convention
 //!
 //! Metric and span names follow `d2stgnn_<crate>_<subsystem>_<name>`, e.g.
-//! `d2stgnn_tensor_pool_tasks_total` or `d2stgnn_core_train_epoch`. Counters
-//! end in `_total`, histograms of durations in `_seconds`, gauges name the
-//! quantity directly (`d2stgnn_serve_in_flight`).
+//! `d2stgnn_core_train_divergence_total` or `d2stgnn_core_train_epoch`.
+//! Counters end in `_total`, histograms of durations in `_seconds`. A gauge,
+//! which an exporter writes from its owner's current value, names the
+//! quantity directly: httpd writes each shard's
+//! `d2stgnn_serve_in_flight{shard="0"}` from `ServerStats::in_flight`.
 //!
 //! ```
 //! let _guard = d2stgnn_obsv::span!("d2stgnn_doc_example", answer = 42u64);
@@ -72,13 +78,13 @@ mod trace;
 
 pub use error::ObsvError;
 pub use metrics::{
-    registry, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
+    registry, Counter, Exemplar, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
 pub use prometheus::{render_prometheus, render_prometheus_for, write_sample, write_type};
 pub use sink::{dropped_lines, flush, init_jsonl, set_writer, shutdown};
 pub use slo::{
-    clear_slo, publish_slo_gauges, render_slo_json, slo_record, slo_snapshot, SloSnapshot,
-    SloWindow, SLO_AVAILABILITY_TARGET, SLO_LATENCY_TARGET, SLO_LATENCY_THRESHOLD,
+    clear_slo, render_slo_json, slo_record, slo_snapshot, SloSnapshot, SloWindow,
+    SLO_AVAILABILITY_TARGET, SLO_LATENCY_TARGET, SLO_LATENCY_THRESHOLD,
 };
 pub use span::{emit_event, FieldValue, SpanGuard};
 pub use trace::{
@@ -153,26 +159,6 @@ macro_rules! counter_add {
     ($name:literal, $delta:expr) => {
         if $crate::enabled() {
             $crate::registry().counter($name).add($delta);
-        }
-    };
-}
-
-/// Set a named gauge to an `f64` value.
-#[macro_export]
-macro_rules! gauge_set {
-    ($name:literal, $value:expr) => {
-        if $crate::enabled() {
-            $crate::registry().gauge($name).set($value);
-        }
-    };
-}
-
-/// Add an `f64` delta (possibly negative) to a named gauge.
-#[macro_export]
-macro_rules! gauge_add {
-    ($name:literal, $delta:expr) => {
-        if $crate::enabled() {
-            $crate::registry().gauge($name).add($delta);
         }
     };
 }

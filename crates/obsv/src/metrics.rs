@@ -1,9 +1,11 @@
-//! Global metrics registry: atomic counters, gauges, and fixed-bucket
-//! log-scale histograms with p50/p95/p99 quantile estimation.
+//! Global metrics registry: atomic counters and fixed-bucket log-scale
+//! histograms with p50/p95/p99 quantile estimation.
 //!
 //! Handles are `Arc`-shared and lock-free to update; the registry itself is
 //! one `Mutex<BTreeMap>` per metric kind, taken only on the first lookup of
-//! a name (callers may cache the returned `Arc`) and on snapshot.
+//! a name (callers may cache the returned `Arc`) and on snapshot. There is
+//! no gauge kind: a point-in-time value (a queue depth, a thread count) is
+//! read from the instance that owns it when an exposition is written.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,42 +39,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         // relaxed: monotonic counter cell; no other memory is published through it
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins `f64` gauge (stored as bits in an atomic).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Set the gauge.
-    pub fn set(&self, value: f64) {
-        // relaxed: last-write-wins gauge; readers accept any recent value
-        self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Add `delta` (possibly negative) to the gauge.
-    pub fn add(&self, delta: f64) {
-        // relaxed: CAS loop only needs atomicity of the bits themselves
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        // relaxed: last-write-wins gauge read
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -288,8 +254,6 @@ pub struct HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// Counter name/value pairs.
     pub counters: Vec<(String, u64)>,
-    /// Gauge name/value pairs.
-    pub gauges: Vec<(String, f64)>,
     /// Histogram name/snapshot pairs.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
@@ -306,7 +270,7 @@ fn json_f64(v: f64) -> String {
 impl MetricsSnapshot {
     /// True when no metric of any kind has been registered.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Render the snapshot as one JSON object (used by `BENCH_*.json`
@@ -319,13 +283,6 @@ impl MetricsSnapshot {
                 out.push(',');
             }
             out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", json_f64(*v)));
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -351,7 +308,6 @@ impl MetricsSnapshot {
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -366,7 +322,6 @@ impl Registry {
     pub const fn new() -> Self {
         Self {
             counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
         }
     }
@@ -380,17 +335,6 @@ impl Registry {
         let c = Arc::new(Counter::default());
         map.insert(name.to_string(), Arc::clone(&c));
         c
-    }
-
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = lock_map(&self.gauges);
-        if let Some(g) = map.get(name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::default());
-        map.insert(name.to_string(), Arc::clone(&g));
-        g
     }
 
     /// Get or create the histogram `name`.
@@ -411,10 +355,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: lock_map(&self.gauges)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
             histograms: lock_map(&self.histograms)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
@@ -425,7 +365,6 @@ impl Registry {
     /// Drop every registered metric (test isolation helper).
     pub fn clear(&self) {
         lock_map(&self.counters).clear();
-        lock_map(&self.gauges).clear();
         lock_map(&self.histograms).clear();
     }
 }
@@ -550,28 +489,18 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_add() {
-        let g = Gauge::default();
-        g.set(2.5);
-        g.add(-1.0);
-        assert!((g.get() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn registry_reuses_handles_and_snapshots_sorted() {
         let reg = Registry::new();
         reg.counter("b_total").add(2);
         reg.counter("a_total").add(1);
         let again = reg.counter("b_total");
         again.add(3);
-        reg.gauge("depth").set(4.0);
         reg.histogram("lat_seconds").observe(0.01);
         let snap = reg.snapshot();
         assert_eq!(
             snap.counters,
             vec![("a_total".to_string(), 1), ("b_total".to_string(), 5)]
         );
-        assert_eq!(snap.gauges.len(), 1);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].1.count, 1);
         assert!(!snap.is_empty());
@@ -583,7 +512,6 @@ mod tests {
     fn snapshot_json_is_wellformed() {
         let reg = Registry::new();
         reg.counter("n_total").add(7);
-        reg.gauge("g").set(1.5);
         reg.histogram("h_seconds").observe(0.5);
         let json = reg.snapshot().to_json();
         let value: serde_json::Value = serde_json::from_str(&json).expect("snapshot json parses");
@@ -591,6 +519,6 @@ mod tests {
             panic!("snapshot json is not an object")
         };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, vec!["counters", "gauges", "histograms"]);
+        assert_eq!(keys, vec!["counters", "histograms"]);
     }
 }

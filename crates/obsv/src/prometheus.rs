@@ -1,9 +1,11 @@
 //! Prometheus text-format exposition of the metrics registry.
 //!
-//! Counters and gauges render as their native types; histograms render as
-//! Prometheus *summaries* (pre-computed `quantile="0.5|0.95|0.99"` series
-//! plus `_sum` and `_count`), since the log-bucket layout is an internal
-//! detail and the quantile estimates are what dashboards consume.
+//! Counters render as counters; histograms render as Prometheus *summaries*
+//! (pre-computed `quantile="0.5|0.95|0.99"` series plus `_sum` and
+//! `_count`), since the log-bucket layout is an internal detail and the
+//! quantile estimates are what dashboards consume. The registry holds no
+//! gauges: the global render appends the `d2stgnn_slo_*` gauges, read from
+//! the SLO accumulator as it is written.
 //!
 //! [`write_type`] and [`write_sample`] are the only code that writes
 //! exposition lines: the registry renderer uses them, and so does every
@@ -11,9 +13,13 @@
 
 use crate::metrics::{registry, MetricsSnapshot, Registry};
 
-/// Render the global registry in the Prometheus text exposition format.
+/// Render the global registry in the Prometheus text exposition format,
+/// followed by the `d2stgnn_slo_*` gauges (written in the `enabled` build
+/// only).
 pub fn render_prometheus() -> String {
-    render_prometheus_for(registry())
+    let mut out = render_prometheus_for(registry());
+    crate::slo::write_slo_gauges(&mut out);
+    out
 }
 
 /// Render a specific registry (tests use private registries).
@@ -93,10 +99,6 @@ fn render_snapshot(snap: &MetricsSnapshot) -> String {
         write_type(&mut out, name, "counter");
         write_sample(&mut out, name, &[], *value as f64);
     }
-    for (name, value) in &snap.gauges {
-        write_type(&mut out, name, "gauge");
-        write_sample(&mut out, name, &[], *value);
-    }
     for (name, h) in &snap.histograms {
         write_type(&mut out, name, "summary");
         for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
@@ -124,7 +126,6 @@ mod tests {
     fn renders_all_metric_kinds() {
         let reg = Registry::new();
         reg.counter("d2stgnn_test_requests_total").add(7);
-        reg.gauge("d2stgnn_test_queue_depth").set(3.5);
         let h = reg.histogram("d2stgnn_test_latency_seconds");
         for i in 1..=100 {
             h.observe(f64::from(i) / 1000.0);
@@ -132,8 +133,6 @@ mod tests {
         let text = render_prometheus_for(&reg);
         assert!(text.contains("# TYPE d2stgnn_test_requests_total counter\n"));
         assert!(text.contains("d2stgnn_test_requests_total 7\n"));
-        assert!(text.contains("# TYPE d2stgnn_test_queue_depth gauge\n"));
-        assert!(text.contains("d2stgnn_test_queue_depth 3.5\n"));
         assert!(text.contains("# TYPE d2stgnn_test_latency_seconds summary\n"));
         assert!(text.contains("d2stgnn_test_latency_seconds{quantile=\"0.5\"}"));
         assert!(text.contains("d2stgnn_test_latency_seconds{quantile=\"0.95\"}"));

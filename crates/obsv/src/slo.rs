@@ -16,10 +16,10 @@
 //! operators distinguish a fast transient burn from a slow leak.
 //!
 //! Surfaced two ways: `GET /slo` renders [`render_slo_json`], and
-//! [`publish_slo_gauges`] mirrors the burn rates into `d2stgnn_slo_*`
-//! gauges for Prometheus scraping.
+//! [`crate::render_prometheus`] writes the targets and burn rates as
+//! `d2stgnn_slo_*` gauges, read from [`slo_snapshot`] at render time.
 
-use crate::metrics::registry;
+use crate::prometheus::{write_sample, write_type};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -237,26 +237,32 @@ pub fn render_slo_json() -> String {
     out
 }
 
-/// Mirror the current burn rates into `d2stgnn_slo_*` gauges so the
-/// Prometheus exposition carries them alongside the raw histograms. No-op
-/// when disabled (the registry would otherwise grow in a disabled build).
-pub fn publish_slo_gauges() {
+/// Write the objectives and the current burn rates as `d2stgnn_slo_*`
+/// gauge families. Writes nothing when the `enabled` feature is off, where
+/// no request is ever recorded.
+pub(crate) fn write_slo_gauges(out: &mut String) {
     if !crate::enabled() {
         return;
     }
-    let snap = slo_snapshot();
-    let reg = registry();
-    reg.gauge("d2stgnn_slo_availability_target")
-        .set(SLO_AVAILABILITY_TARGET);
-    reg.gauge("d2stgnn_slo_latency_target")
-        .set(SLO_LATENCY_TARGET);
-    reg.gauge("d2stgnn_slo_latency_threshold_ms")
-        .set(SLO_LATENCY_THRESHOLD.as_millis() as f64);
-    for w in &snap.windows {
-        reg.gauge(&format!("d2stgnn_slo_availability_burn_rate_{}", w.window))
-            .set(w.availability_burn);
-        reg.gauge(&format!("d2stgnn_slo_latency_burn_rate_{}", w.window))
-            .set(w.latency_burn);
+    let mut gauge = |name: &str, value: f64| {
+        write_type(out, name, "gauge");
+        write_sample(out, name, &[], value);
+    };
+    gauge("d2stgnn_slo_availability_target", SLO_AVAILABILITY_TARGET);
+    gauge("d2stgnn_slo_latency_target", SLO_LATENCY_TARGET);
+    gauge(
+        "d2stgnn_slo_latency_threshold_ms",
+        SLO_LATENCY_THRESHOLD.as_millis() as f64,
+    );
+    for w in &slo_snapshot().windows {
+        gauge(
+            &format!("d2stgnn_slo_availability_burn_rate_{}", w.window),
+            w.availability_burn,
+        );
+        gauge(
+            &format!("d2stgnn_slo_latency_burn_rate_{}", w.window),
+            w.latency_burn,
+        );
     }
 }
 
@@ -402,25 +408,27 @@ mod tests {
         slo_record(500, Duration::from_millis(300));
         let snap = slo_snapshot();
         let w5 = snap.windows.first().expect("5m window");
+        let mut text = String::new();
+        write_slo_gauges(&mut text);
         if crate::enabled() {
             assert_eq!((w5.total, w5.err5xx, w5.slow), (2, 1, 1));
-            publish_slo_gauges();
-            let metric_names: Vec<String> = registry()
-                .snapshot()
-                .gauges
-                .iter()
-                .map(|(n, _)| n.clone())
-                .collect();
+            assert!(text.contains("# TYPE d2stgnn_slo_availability_target gauge\n"));
+            assert!(text.contains("\nd2stgnn_slo_latency_threshold_ms 250\n"));
             for suffix in ["5m", "1h", "6h"] {
-                assert!(metric_names
-                    .iter()
-                    .any(|n| n == &format!("d2stgnn_slo_availability_burn_rate_{suffix}")));
-                assert!(metric_names
-                    .iter()
-                    .any(|n| n == &format!("d2stgnn_slo_latency_burn_rate_{suffix}")));
+                for family in ["availability", "latency"] {
+                    let name = format!("d2stgnn_slo_{family}_burn_rate_{suffix}");
+                    assert!(text.contains(&format!("# TYPE {name} gauge\n")), "{text}");
+                }
             }
+            // The value written is the snapshot's, read at render time.
+            let line = format!(
+                "\nd2stgnn_slo_availability_burn_rate_5m {}\n",
+                w5.availability_burn
+            );
+            assert!(w5.availability_burn > 0.0 && text.contains(&line), "{text}");
         } else {
             assert_eq!(w5.total, 0);
+            assert!(text.is_empty());
         }
         clear_slo();
     }

@@ -22,9 +22,7 @@ fn macros_are_no_ops_without_the_feature() {
     d2stgnn_obsv::record!(span, loss = tracked(2));
     d2stgnn_obsv::event!("d2stgnn_test_event", n = tracked(3));
     d2stgnn_obsv::counter_add!("d2stgnn_test_total", tracked(4));
-    d2stgnn_obsv::gauge_set!("d2stgnn_test_gauge", tracked(5) as f64);
-    d2stgnn_obsv::gauge_add!("d2stgnn_test_gauge", tracked(6) as f64);
-    d2stgnn_obsv::observe!("d2stgnn_test_seconds", tracked(7) as f64);
+    d2stgnn_obsv::observe!("d2stgnn_test_seconds", tracked(5) as f64);
     assert_eq!(span.id(), 0, "span! returns a noop guard when disabled");
     drop(span);
 
@@ -37,6 +35,8 @@ fn macros_are_no_ops_without_the_feature() {
         d2stgnn_obsv::registry().snapshot().is_empty(),
         "no metrics may be registered when disabled"
     );
+    // No SLO gauge lines either: nothing is recorded in this build.
+    d2stgnn_obsv::slo_record(500, std::time::Duration::from_secs(1));
     assert!(
         d2stgnn_obsv::render_prometheus().is_empty(),
         "prometheus dump must be empty when disabled"

@@ -171,17 +171,26 @@ fn macros_feed_registry_and_prometheus_rendering() {
 
     d2stgnn_obsv::counter_add!("d2stgnn_test_requests_total", 3);
     d2stgnn_obsv::counter_add!("d2stgnn_test_requests_total", 4);
-    d2stgnn_obsv::gauge_set!("d2stgnn_test_queue_depth", 2.0);
-    d2stgnn_obsv::gauge_add!("d2stgnn_test_queue_depth", -1.0);
     for i in 1..=200 {
         d2stgnn_obsv::observe!("d2stgnn_test_latency_seconds", f64::from(i) * 1e-3);
     }
 
     let text = d2stgnn_obsv::render_prometheus();
     assert!(text.contains("d2stgnn_test_requests_total 7\n"));
-    assert!(text.contains("d2stgnn_test_queue_depth 1\n"));
     assert!(text.contains("d2stgnn_test_latency_seconds{quantile=\"0.99\"}"));
     assert!(text.contains("d2stgnn_test_latency_seconds_count 200\n"));
+    // The registry holds no gauges; the SLO gauges are read from the SLO
+    // accumulator as the exposition is written, each declared once.
+    for name in [
+        "d2stgnn_slo_availability_target",
+        "d2stgnn_slo_latency_target",
+        "d2stgnn_slo_latency_threshold_ms",
+        "d2stgnn_slo_availability_burn_rate_5m",
+        "d2stgnn_slo_latency_burn_rate_6h",
+    ] {
+        let declared = format!("# TYPE {name} gauge\n");
+        assert_eq!(text.matches(&declared).count(), 1, "{name} in:\n{text}");
+    }
 
     d2stgnn_obsv::shutdown();
 }

@@ -637,14 +637,13 @@ fn process_batch(
     let forward_start = Instant::now();
     let out = {
         let _forward_span = d2stgnn_obsv::span!("d2stgnn_serve_forward", batch_size = b);
-        d2stgnn_obsv::gauge_add!("d2stgnn_serve_in_flight", b as f64);
         // A panic must not end the worker: nothing would respawn it, and
         // the queue would keep filling for nobody.
-        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            no_grad(|| model.forward(&batch, false, rng)).value()
-        }));
-        d2stgnn_obsv::gauge_add!("d2stgnn_serve_in_flight", -(b as f64));
-        out
+        shared.stats.count_in_flight(b, || {
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                no_grad(|| model.forward(&batch, false, rng)).value()
+            }))
+        })
     };
     let forward_wait = forward_start.elapsed();
     shared.stats.batch_done(b);

@@ -1,11 +1,12 @@
 //! Server-side counters and latency percentiles.
 //!
 //! Each counter is a [`d2stgnn_obsv::Counter`] cell owned by one server and
-//! stored nowhere else; front ends export [`ServerStats`] per server (httpd's
-//! `/metrics` labels each shard's series). The process-wide obsv registry
-//! gets only the latency, queue-wait and batch-size histograms. The
-//! exact-window percentiles stay authoritative for `ServerStats`; the obsv
-//! histogram trades a bounded (~12%) quantile error for a lifetime view.
+//! stored nowhere else, as is the in-flight count; front ends export
+//! [`ServerStats`] per server (httpd's `/metrics` labels each shard's
+//! series). The process-wide obsv registry gets only the latency,
+//! queue-wait and batch-size histograms. The exact-window percentiles stay
+//! authoritative for `ServerStats`; the obsv histogram trades a bounded
+//! (~12%) quantile error for a lifetime view.
 
 use crate::lockorder::OrderedMutex;
 use d2stgnn_obsv::Counter;
@@ -38,6 +39,8 @@ pub struct ServerStats {
     /// [`crate::Server::stats`] from the live queue-depth mirror; zero when a
     /// [`StatsRecorder`] is snapshotted without a server attached.
     pub queue_depth: u64,
+    /// Requests inside a model forward pass at snapshot time.
+    pub in_flight: u64,
     /// Median end-to-end latency over the recent window (zero when empty).
     pub p50_latency: Duration,
     /// 95th-percentile end-to-end latency over the recent window.
@@ -58,6 +61,9 @@ pub struct StatsRecorder {
     pub(crate) fallback_served: Counter,
     pub(crate) deadline_misses: Counter,
     pub(crate) forward_failures: Counter,
+    /// Requests inside a forward pass right now (added before, subtracted
+    /// after, also when the forward panics).
+    in_flight: AtomicU64,
     /// Ring buffer of recent latencies in nanoseconds.
     latencies: OrderedMutex<Vec<u64>>,
     cursor: AtomicU64,
@@ -74,6 +80,7 @@ impl Default for StatsRecorder {
             fallback_served: Counter::default(),
             deadline_misses: Counter::default(),
             forward_failures: Counter::default(),
+            in_flight: AtomicU64::new(0),
             latencies: OrderedMutex::new("serve.stats.latencies", Vec::new()),
             cursor: AtomicU64::new(0),
         }
@@ -81,6 +88,17 @@ impl Default for StatsRecorder {
 }
 
 impl StatsRecorder {
+    /// Run `forward` over a batch of `size` requests, counting them in
+    /// flight for its duration. `forward` must not unwind: the caller wraps
+    /// the model call in `catch_unwind`, so the count always comes back.
+    pub(crate) fn count_in_flight<T>(&self, size: usize, forward: impl FnOnce() -> T) -> T {
+        // relaxed: a point-in-time gauge; no other memory is published through it
+        self.in_flight.fetch_add(size as u64, Ordering::Relaxed);
+        let out = forward();
+        self.in_flight.fetch_sub(size as u64, Ordering::Relaxed);
+        out
+    }
+
     pub(crate) fn batch_done(&self, size: usize) {
         self.batches.add(1);
         self.batched_requests.add(size as u64);
@@ -124,6 +142,8 @@ impl StatsRecorder {
             deadline_misses: self.deadline_misses.get(),
             forward_failures: self.forward_failures.get(),
             queue_depth: 0,
+            // relaxed: a point-in-time gauge read
+            in_flight: self.in_flight.load(Ordering::Relaxed),
             p50_latency: p50,
             p95_latency: p95,
             p99_latency: p99,

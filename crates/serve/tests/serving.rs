@@ -9,7 +9,7 @@ use d2stgnn_tensor::nn::Module;
 use d2stgnn_tensor::{no_grad, Array, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn dataset() -> WindowedDataset {
@@ -430,10 +430,53 @@ enum Fault {
 const FAULT_SLOT: usize = 7;
 
 /// A D2STGNN that fails on any batch whose `tod` holds [`FAULT_SLOT`] and
-/// forecasts normally otherwise.
+/// forecasts normally otherwise. With a gate, it stops at the gate before
+/// failing, so a test can look at the server while the forward runs.
 struct Faulty {
     inner: D2stgnn,
     fault: Fault,
+    gate: Option<Arc<Gate>>,
+}
+
+/// A handshake between a forward and the test: the forward announces that
+/// it has reached the gate, then waits until the test opens it.
+#[derive(Default)]
+struct Gate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    reached: bool,
+    open: bool,
+}
+
+impl Gate {
+    /// Forward side: announce arrival, then block until opened.
+    fn pass(&self) {
+        let mut state = self.state.lock().expect("gate lock");
+        state.reached = true;
+        self.changed.notify_all();
+        while !state.open {
+            state = self.changed.wait(state).expect("gate lock");
+        }
+    }
+
+    /// Test side: block until a forward has reached the gate.
+    fn await_arrival(&self) {
+        let state = self.state.lock().expect("gate lock");
+        let (_state, wait) = self
+            .changed
+            .wait_timeout_while(state, Duration::from_secs(30), |s| !s.reached)
+            .expect("gate lock");
+        assert!(!wait.timed_out(), "no forward reached the gate");
+    }
+
+    fn open(&self) {
+        self.state.lock().expect("gate lock").open = true;
+        self.changed.notify_all();
+    }
 }
 
 impl Module for Faulty {
@@ -447,6 +490,9 @@ impl TrafficModel for Faulty {
         let out = self.inner.forward(batch, training, rng);
         if !batch.tod.contains(&FAULT_SLOT) {
             return out;
+        }
+        if let Some(gate) = &self.gate {
+            gate.pass();
         }
         match self.fault {
             Fault::Panic => panic!("injected forward fault at tod slot {FAULT_SLOT}"),
@@ -478,7 +524,11 @@ fn a_failed_forward_is_answered_and_the_worker_survives() {
             let factory: ModelFactory = Arc::new(move || {
                 let mut rng = StdRng::seed_from_u64(7);
                 let inner = D2stgnn::new(cfg.clone(), &network, &mut rng);
-                Box::new(Faulty { inner, fault }) as Box<dyn TrafficModel>
+                Box::new(Faulty {
+                    inner,
+                    fault,
+                    gate: None,
+                }) as Box<dyn TrafficModel>
             });
             register_factory(&registry, &data, "faulty", factory);
             // One worker: if the failure ended it, nobody would answer the
@@ -535,9 +585,60 @@ fn a_failed_forward_is_answered_and_the_worker_survives() {
             assert_eq!(stats.forward_failures, 1, "{case}");
             assert_eq!(stats.fallback_served, u64::from(with_fallback), "{case}");
             assert_eq!(stats.batches, 2, "{case}");
+            assert_eq!(stats.in_flight, 0, "{case}");
             server.shutdown().expect("clean shutdown");
         }
     }
+}
+
+#[test]
+fn in_flight_counts_a_running_forward_and_returns_to_zero_after_it_panics() {
+    let data = dataset();
+    let gate = Arc::new(Gate::default());
+    let registry = Arc::new(ModelRegistry::new());
+    let cfg = model_config(data.num_nodes());
+    let network = data.data().network.clone();
+    let model_gate = Arc::clone(&gate);
+    let factory: ModelFactory = Arc::new(move || {
+        let mut rng = StdRng::seed_from_u64(7);
+        Box::new(Faulty {
+            inner: D2stgnn::new(cfg.clone(), &network, &mut rng),
+            fault: Fault::Panic,
+            gate: Some(Arc::clone(&model_gate)),
+        }) as Box<dyn TrafficModel>
+    });
+    register_factory(&registry, &data, "faulty", factory);
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServeConfig {
+            workers: 1,
+            max_batch: 1,
+            max_wait: Duration::from_millis(1),
+            queue_capacity: 8,
+        },
+    )
+    .expect("start server");
+    assert_eq!(server.stats().in_flight, 0);
+
+    let mut bad = request_for(&data, Split::Test, 0, "faulty");
+    bad.tod.fill(FAULT_SLOT);
+    let bad = server.submit(bad).expect("bad request admitted");
+    // The forward waits at the gate: its one request is in flight.
+    gate.await_arrival();
+    assert_eq!(server.stats().in_flight, 1);
+    gate.open();
+    let answer = bad
+        .wait_timeout(Duration::from_secs(30))
+        .expect("the failed request got no answer");
+    assert!(matches!(answer, Err(ServeError::Internal(_))), "{answer:?}");
+
+    let stats = server.stats();
+    assert_eq!(stats.forward_failures, 1);
+    assert_eq!(
+        stats.in_flight, 0,
+        "the panic left requests counted in flight"
+    );
+    server.shutdown().expect("clean shutdown");
 }
 
 #[test]

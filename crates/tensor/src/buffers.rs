@@ -9,9 +9,9 @@
 //! Buckets are power-of-two capacity classes. Only allocations of at least
 //! [`MIN_POOLED_LEN`] elements participate — tiny vectors are cheaper to
 //! malloc than to funnel through a shared lock — and each bucket keeps at
-//! most [`MAX_PER_BUCKET`] vectors so idle memory stays bounded. Hit/miss
-//! counters feed [`crate::pool::stats`] and, under the `obsv` feature, the
-//! `d2stgnn_tensor_bufpool_*` registry metrics.
+//! most [`MAX_PER_BUCKET`] vectors so idle memory stays bounded. The
+//! hit/miss/recycle counters are stored here only; [`crate::pool::stats`]
+//! reads them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -94,16 +94,12 @@ fn acquire_raw(len: usize) -> Vec<f32> {
         Some(mut v) => {
             // relaxed: monotonic pool counter; the free lists themselves are mutex-guarded
             HITS.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "obsv")]
-            d2stgnn_obsv::counter_add!("d2stgnn_tensor_bufpool_hits_total", 1);
             v.clear();
             v
         }
         None => {
             // relaxed: monotonic pool counter; the free lists themselves are mutex-guarded
             MISSES.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "obsv")]
-            d2stgnn_obsv::counter_add!("d2stgnn_tensor_bufpool_misses_total", 1);
             Vec::with_capacity(len)
         }
     }
@@ -120,8 +116,6 @@ pub(crate) fn release(v: Vec<f32>) {
         lists.buckets[class].push(v);
         // relaxed: monotonic pool counter; the free lists themselves are mutex-guarded
         RECYCLED.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "obsv")]
-        d2stgnn_obsv::counter_add!("d2stgnn_tensor_bufpool_recycled_total", 1);
     }
 }
 

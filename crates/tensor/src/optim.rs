@@ -29,14 +29,6 @@ pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> f32 {
     }
     let norm = (sq.sqrt()) as f32;
     if !norm.is_finite() {
-        #[cfg(feature = "obsv")]
-        {
-            d2stgnn_obsv::counter_add!("d2stgnn_tensor_optim_nonfinite_grad_total", 1);
-            d2stgnn_obsv::event!(
-                "d2stgnn_tensor_optim_nonfinite_grad",
-                norm = f64::from(norm)
-            );
-        }
         return norm;
     }
     if norm > max_norm && norm > 0.0 {

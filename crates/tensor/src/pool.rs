@@ -197,8 +197,6 @@ fn workers() -> Option<&'static WorkerPool> {
                 .name(format!("d2-tensor-pool-{i}"))
                 .spawn(move || pool.worker_loop());
         }
-        #[cfg(feature = "obsv")]
-        d2stgnn_obsv::gauge_set!("d2stgnn_tensor_pool_threads", n as f64);
         Some(pool)
     })
 }
@@ -229,11 +227,6 @@ pub(crate) fn run_chunked(len: usize, chunk: usize, fill: Arc<FillFn>) -> Buffer
     // relaxed: monotonic dispatch counters; no other memory is published through them
     TASKS.fetch_add(1, Ordering::Relaxed);
     POOLED_CHUNKS.fetch_add(n_chunks as u64, Ordering::Relaxed);
-    #[cfg(feature = "obsv")]
-    {
-        d2stgnn_obsv::counter_add!("d2stgnn_tensor_pool_tasks_total", 1);
-        d2stgnn_obsv::counter_add!("d2stgnn_tensor_pool_chunks_total", n_chunks as u64);
-    }
     crate::profile::note_pooled_dispatch();
 
     let task = Arc::new(Task {
@@ -283,7 +276,9 @@ pub(crate) fn run_chunked(len: usize, chunk: usize, fill: Arc<FillFn>) -> Buffer
     out
 }
 
-/// Point-in-time pool statistics, for benches and operational checks.
+/// Point-in-time pool statistics, for benches and operational checks. The
+/// counters live in this module and in the buffer pool only; exporters read
+/// them through [`stats`] and name them with [`PoolStats::series`].
 #[derive(Clone, Copy, Debug)]
 pub struct PoolStats {
     /// Configured parallelism (caller included).
@@ -303,6 +298,41 @@ pub struct PoolStats {
     /// GEMM micro-kernel this process selected (`"scalar"`, `"avx2"`, ...);
     /// see [`crate::simd::kernel_name`].
     pub simd_kernel: &'static str,
+}
+
+impl PoolStats {
+    /// The six exported series as `(name, Prometheus type, value)`: the
+    /// names `/metrics` and the bench artifacts write these fields under.
+    pub fn series(&self) -> [(&'static str, &'static str, u64); 6] {
+        [
+            ("d2stgnn_tensor_pool_threads", "gauge", self.threads as u64),
+            (
+                "d2stgnn_tensor_pool_tasks_total",
+                "counter",
+                self.pooled_tasks,
+            ),
+            (
+                "d2stgnn_tensor_pool_chunks_total",
+                "counter",
+                self.pooled_chunks,
+            ),
+            (
+                "d2stgnn_tensor_bufpool_hits_total",
+                "counter",
+                self.bufpool_hits,
+            ),
+            (
+                "d2stgnn_tensor_bufpool_misses_total",
+                "counter",
+                self.bufpool_misses,
+            ),
+            (
+                "d2stgnn_tensor_bufpool_recycled_total",
+                "counter",
+                self.bufpool_recycled,
+            ),
+        ]
+    }
 }
 
 /// Snapshot the pool and buffer-pool counters.

@@ -60,6 +60,16 @@ cargo test -q -p d2stgnn-tensor --features sanitize
 cargo test -q -p d2stgnn-serve --features sanitize
 
 echo "==> telemetry layer: tests with the obsv feature off and on"
+# The kernel crate stores its pool counters itself and pushes nothing into
+# the telemetry registry; its `obsv` feature gates only the tape profiler.
+# A registry push from d2stgnn-tensor has to add the dependency back, and
+# change this check, on purpose.
+TENSOR_DEPS=$(cargo tree --offline --locked -p d2stgnn-tensor --features obsv -e normal)
+if grep -q d2stgnn-obsv <<<"$TENSOR_DEPS"; then
+    echo "d2stgnn-tensor depends on d2stgnn-obsv:" >&2
+    echo "$TENSOR_DEPS" >&2
+    exit 1
+fi
 cargo test -q -p d2stgnn-obsv
 cargo test -q -p d2stgnn-obsv --features enabled
 cargo test -q -p d2stgnn-tensor --features obsv
