@@ -377,19 +377,14 @@ fn register(registry: &ModelRegistry, data: &WindowedDataset, name: &str, seed: 
 /// JSON body for a valid forecast against `city`'s model, routed by city.
 fn forecast_json(data: &WindowedDataset, city: &str) -> String {
     let raw = data.data();
-    let start = raw.values.shape()[0] - data.th();
-    let (th, n) = (data.th(), data.num_nodes());
-    let mut window = Vec::with_capacity(th);
-    let mut tod = Vec::with_capacity(th);
-    let mut dow = Vec::with_capacity(th);
-    for t in 0..th {
-        tod.push(raw.time_of_day(start + t));
-        dow.push(raw.day_of_week(start + t));
-        window.push((0..n).map(|i| raw.values.at(&[start + t, i])).collect());
-    }
+    let (window, tod, dow) = raw.raw_window(raw.num_steps() - data.th(), data.th());
     serde_json::to_string(&ForecastBody {
         model: city.to_string(),
-        window,
+        window: window
+            .data()
+            .chunks(raw.num_nodes())
+            .map(<[f32]>::to_vec)
+            .collect(),
         tod,
         dow,
         deadline_ms: None,

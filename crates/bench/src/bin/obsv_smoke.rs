@@ -46,7 +46,7 @@ mod smoke {
     use d2stgnn_httpd::api::{ForecastBody, ForecastReply};
     use d2stgnn_httpd::{HttpServer, HttpdConfig, ShardRouter};
     use d2stgnn_serve::{InferRequest, ModelFactory, ModelRegistry, ServeConfig, Server};
-    use d2stgnn_tensor::{Array, Tape};
+    use d2stgnn_tensor::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use serde::{Number, Value};
@@ -418,18 +418,14 @@ mod smoke {
     /// JSON body for a forecast over the dataset's final input window.
     fn forecast_body_json(data: &WindowedDataset) -> String {
         let raw = data.data();
-        let (th, n) = (data.th(), data.num_nodes());
-        let start = raw.values.shape()[0] - th;
-        let mut window = Vec::with_capacity(th);
-        let (mut tod, mut dow) = (Vec::new(), Vec::new());
-        for t in 0..th {
-            tod.push(raw.time_of_day(start + t));
-            dow.push(raw.day_of_week(start + t));
-            window.push((0..n).map(|i| raw.values.at(&[start + t, i])).collect());
-        }
+        let (window, tod, dow) = raw.raw_window(raw.num_steps() - data.th(), data.th());
         serde_json::to_string(&ForecastBody {
             model: "d2stgnn".to_string(),
-            window,
+            window: window
+                .data()
+                .chunks(raw.num_nodes())
+                .map(<[f32]>::to_vec)
+                .collect(),
             tod,
             dow,
             deadline_ms: None,
@@ -487,17 +483,7 @@ mod smoke {
     }
 
     fn request_at(data: &WindowedDataset, start: usize) -> InferRequest {
-        let (th, n) = (data.th(), data.num_nodes());
-        let raw = data.data();
-        let mut window = Array::zeros(&[th, n, 1]);
-        let (mut tod, mut dow) = (Vec::new(), Vec::new());
-        for t in 0..th {
-            tod.push(raw.time_of_day(start + t));
-            dow.push(raw.day_of_week(start + t));
-            for i in 0..n {
-                window.set(&[t, i, 0], raw.values.at(&[start + t, i]));
-            }
-        }
+        let (window, tod, dow) = data.data().raw_window(start, data.th());
         InferRequest {
             model: "d2stgnn".to_string(),
             window,

@@ -14,7 +14,6 @@ use d2stgnn_baselines::{ClassicalForecaster, HistoricalAverage};
 use d2stgnn_core::{checkpoint, D2stgnn, D2stgnnConfig};
 use d2stgnn_data::{simulate, SimulatorConfig, Split, WindowedDataset};
 use d2stgnn_serve::{InferRequest, ModelFactory, ModelRegistry, ServeConfig, Server};
-use d2stgnn_tensor::Array;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -43,17 +42,7 @@ fn model_config(n: usize) -> D2stgnnConfig {
 }
 
 fn request_at(data: &WindowedDataset, start: usize) -> InferRequest {
-    let (th, n) = (data.th(), data.num_nodes());
-    let raw = data.data();
-    let mut window = Array::zeros(&[th, n, 1]);
-    let (mut tod, mut dow) = (Vec::new(), Vec::new());
-    for t in 0..th {
-        tod.push(raw.time_of_day(start + t));
-        dow.push(raw.day_of_week(start + t));
-        for i in 0..n {
-            window.set(&[t, i, 0], raw.values.at(&[start + t, i]));
-        }
-    }
+    let (window, tod, dow) = data.data().raw_window(start, data.th());
     InferRequest {
         model: "d2stgnn".to_string(),
         window,

@@ -155,24 +155,6 @@ pub struct EvalResult {
     pub horizons: Vec<(usize, Metrics)>,
 }
 
-/// Mutable loop state, grouped so the checkpoint capture/restore paths and
-/// the divergence rollback handle every field uniformly.
-struct LoopVars {
-    epoch: usize,
-    batch_cursor: usize,
-    epoch_order: Vec<usize>,
-    iteration: usize,
-    loss_sum: f64,
-    loss_count: usize,
-    max_level: usize,
-    since_best: usize,
-    best_val_mae: Option<f32>,
-    best_epoch: usize,
-    best_params: Option<Vec<Array>>,
-    epochs: Vec<EpochStats>,
-    rollbacks: usize,
-}
-
 /// In-memory rollback target: parameter values plus the matching
 /// [`TrainState`], captured at the same points a checkpoint would be written.
 struct Restorepoint {
@@ -222,7 +204,11 @@ impl Trainer {
         let scaler = *data.scaler();
         let tf = data.tf();
 
-        let mut vars = LoopVars {
+        // The loop state. Its config, optimizer, lr, rng and checksum fields
+        // are never read: `restorepoint` fills them in from the trainer, the
+        // live optimizer and the RNG when it captures the state.
+        let mut vars = TrainState {
+            config: self.cfg.clone(),
             epoch: 0,
             batch_cursor: 0,
             epoch_order: Vec::new(),
@@ -235,7 +221,11 @@ impl Trainer {
             best_epoch: 0,
             best_params: None,
             epochs: Vec::new(),
+            optimizer: opt.export_state(),
+            lr: opt.learning_rate(),
+            rng: rng.state().to_vec(),
             rollbacks: 0,
+            state_checksum: None,
         };
 
         if let Some(path) = &self.cfg.resume_from {
@@ -476,29 +466,17 @@ impl Trainer {
     fn restorepoint(
         &self,
         params: &[Tensor],
-        vars: &LoopVars,
+        vars: &TrainState,
         opt: &Adam,
         rng: &StdRng,
     ) -> Restorepoint {
         let mut state = TrainState {
             config: self.cfg.clone(),
-            epoch: vars.epoch,
-            batch_cursor: vars.batch_cursor,
-            epoch_order: vars.epoch_order.clone(),
-            iteration: vars.iteration,
-            loss_sum: vars.loss_sum,
-            loss_count: vars.loss_count,
-            max_level: vars.max_level,
-            since_best: vars.since_best,
-            best_val_mae: vars.best_val_mae,
-            best_epoch: vars.best_epoch,
-            best_params: vars.best_params.clone(),
-            epochs: vars.epochs.clone(),
             optimizer: opt.export_state(),
             lr: opt.learning_rate(),
             rng: rng.state().to_vec(),
-            rollbacks: vars.rollbacks,
             state_checksum: None,
+            ..vars.clone()
         };
         state.state_checksum = Some(state.compute_checksum());
         Restorepoint {
@@ -589,10 +567,10 @@ impl Trainer {
     }
 }
 
-/// Restore optimizer, RNG, and loop counters from a [`TrainState`].
+/// Restore optimizer, RNG, and loop state from a [`TrainState`].
 fn apply_state(
     state: &TrainState,
-    vars: &mut LoopVars,
+    vars: &mut TrainState,
     opt: &mut Adam,
     rng: &mut StdRng,
 ) -> Result<(), TrainError> {
@@ -606,19 +584,7 @@ fn apply_state(
         ))
     })?;
     *rng = StdRng::from_state(words);
-    vars.epoch = state.epoch;
-    vars.batch_cursor = state.batch_cursor;
-    vars.epoch_order = state.epoch_order.clone();
-    vars.iteration = state.iteration;
-    vars.loss_sum = state.loss_sum;
-    vars.loss_count = state.loss_count;
-    vars.max_level = state.max_level;
-    vars.since_best = state.since_best;
-    vars.best_val_mae = state.best_val_mae;
-    vars.best_epoch = state.best_epoch;
-    vars.best_params = state.best_params.clone();
-    vars.epochs = state.epochs.clone();
-    vars.rollbacks = state.rollbacks;
+    *vars = state.clone();
     Ok(())
 }
 

@@ -16,7 +16,7 @@
 //! the decoupling framework actually separates them, which no real dataset
 //! allows.
 
-use d2stgnn_graph::{transition, SparseNetwork, TrafficNetwork};
+use d2stgnn_graph::{transition, CsrMatrix, SparseNetwork, TrafficNetwork};
 use d2stgnn_tensor::Array;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,153 +135,39 @@ impl TrafficData {
     pub fn day_of_week(&self, t: usize) -> usize {
         (t / self.steps_per_day) % 7
     }
+
+    /// The unscaled window of steps `start..start + len`, as a forecast
+    /// request carries it: values `[len, N, 1]` plus each step's time-of-day
+    /// slot and day of week.
+    ///
+    /// # Panics
+    /// If the window runs past the last step.
+    pub fn raw_window(&self, start: usize, len: usize) -> (Array, Vec<usize>, Vec<usize>) {
+        let n = self.num_nodes();
+        let mut window = Array::zeros(&[len, n, 1]);
+        window
+            .data_mut()
+            .copy_from_slice(&self.values.data()[start * n..(start + len) * n]);
+        let steps = start..start + len;
+        let tod = steps.clone().map(|t| self.time_of_day(t)).collect();
+        let dow = steps.map(|t| self.day_of_week(t)).collect();
+        (window, tod, dow)
+    }
 }
 
 /// Generate a dataset from the config (deterministic in `config.seed`).
+///
+/// Builds a random geometric [`TrafficNetwork`] and runs the generator's
+/// recurrence over its forward transition, keeping both hidden components.
 pub fn simulate(config: &SimulatorConfig) -> TrafficData {
-    assert!(
-        config.num_nodes > 0 && config.num_steps > 0,
-        "empty simulation"
-    );
-    assert!(config.steps_per_day > 0, "steps_per_day must be positive");
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = seeded_rng(config);
     let network =
         TrafficNetwork::random_geometric(config.num_nodes, config.knn, config.kappa, &mut rng);
-    let (t_total, n) = (config.num_steps, config.num_nodes);
-
-    // Per-node inherent profile parameters.
-    let (base, scale_cap) = match config.kind {
-        SignalKind::Speed => (55.0f32, 70.0f32),
-        SignalKind::Flow => (180.0f32, 500.0f32),
-    };
-    let node_base: Vec<f32> = (0..n).map(|_| base * rng.gen_range(0.85..1.15)).collect();
-    // Morning vs evening peak mix per node (Figure 8 shows node 2 congests in
-    // the morning, node 111 in the evening).
-    let morning_amp: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..0.5)).collect();
-    let evening_amp: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..0.5)).collect();
-    let peak_width: Vec<f32> = (0..n).map(|_| rng.gen_range(0.04..0.10)).collect();
-    let phase_jitter: Vec<f32> = (0..n).map(|_| rng.gen_range(-0.02..0.02)).collect();
-
-    // AR(1) noise state per node.
-    let mut ar: Vec<f32> = vec![0.0; n];
-    let rho = 0.9f32;
-
-    // Transition matrices for the generator's diffusion process.
-    let p_f = transition::forward_transition(&network.adjacency());
-    let powers = transition::masked_powers(&p_f, config.ks);
-
-    let mut inherent = Array::zeros(&[t_total, n]);
-    let mut diffusion = Array::zeros(&[t_total, n]);
-    let mut values = Array::zeros(&[t_total, n]);
-
-    // Sensor-failure bookkeeping: when triggered, a sensor reads zero for a
-    // geometric-length stretch.
-    let mut failed_until: Vec<usize> = vec![0; n];
-
-    // Incident state: (active-until step, severity) per node.
-    let mut incident_until: Vec<usize> = vec![0; n];
-    let mut incident_severity: Vec<f32> = vec![0.0; n];
-    // Per-(node, day) congestion amplitude factor, resampled at each day
-    // boundary: the day-to-day variability real datasets show.
-    let mut day_factor: Vec<f32> = vec![1.0; n];
-    let mut current_day = usize::MAX;
-
-    for t in 0..t_total {
-        let tod = (t % config.steps_per_day) as f32 / config.steps_per_day as f32;
-        let dow = (t / config.steps_per_day) % 7;
-        let weekend = if dow >= 5 { 0.45 } else { 1.0 };
-
-        // Resample per-day amplitude factors at day boundaries.
-        let day = t / config.steps_per_day;
-        if day != current_day {
-            current_day = day;
-            for f in &mut day_factor {
-                *f = 1.0 + config.day_variability * rng.gen_range(-1.0f32..1.0);
-            }
-        }
-
-        // --- inherent component ---
-        for i in 0..n {
-            // Incident dynamics: start/expire local congestion events.
-            if incident_until[i] <= t && rng.gen::<f32>() < config.incident_rate {
-                incident_until[i] = t + rng.gen_range(6..36); // 30 min .. 3 h
-                incident_severity[i] = rng.gen_range(0.25..0.6);
-            }
-            let incident = if t < incident_until[i] {
-                incident_severity[i]
-            } else {
-                0.0
-            };
-            let morning = gaussian_bump(tod, 8.0 / 24.0 + phase_jitter[i], peak_width[i]);
-            let evening = gaussian_bump(tod, 17.5 / 24.0 + phase_jitter[i], peak_width[i]);
-            let congestion =
-                (weekend * day_factor[i] * (morning_amp[i] * morning + evening_amp[i] * evening)
-                    + incident)
-                    .min(0.95);
-            ar[i] = rho * ar[i] + rng.gen_range(-1.0f32..1.0) * config.noise_std;
-            let inh = match config.kind {
-                // Congestion lowers speed.
-                SignalKind::Speed => node_base[i] * (1.0 - congestion) + ar[i],
-                // Congestion raises flow.
-                SignalKind::Flow => node_base[i] * (0.35 + congestion * 1.8) + ar[i] * 4.0,
-            };
-            inherent.set(&[t, i], inh);
-        }
-
-        // --- diffusion component: lagged graph propagation of the *observed*
-        // signal with time-varying coupling ---
-        let gamma_t = config.diffusion_strength
-            * (1.0
-                + config.dynamic_amplitude
-                    * (2.0 * std::f32::consts::PI * tod - std::f32::consts::FRAC_PI_2).sin())
-            / (config.ks * config.kt) as f32;
-        if t > 0 {
-            for tau in 1..=config.kt.min(t) {
-                let x_lag = values.slice_axis(0, t - tau, t - tau + 1); // [1, N]
-                                                                        // Deviation from each node's base keeps the process stable:
-                                                                        // only congestion (not the base level) diffuses.
-                let mut dev = x_lag.clone();
-                for (d, base) in dev.data_mut().iter_mut().zip(&node_base) {
-                    *d -= base
-                        * match config.kind {
-                            SignalKind::Speed => 1.0,
-                            SignalKind::Flow => 0.35,
-                        };
-                }
-                let lag_decay = 0.6f32.powi(tau as i32 - 1);
-                for (k_idx, p_k) in powers.iter().enumerate() {
-                    let order_decay = 0.5f32.powi(k_idx as i32);
-                    // [1,N] x [N,N]ᵀ: propagate along incoming edges.
-                    let prop = dev.matmul(&p_k.transpose()); // [1, N]
-                    for i in 0..n {
-                        let cur = diffusion.at(&[t, i]);
-                        diffusion.set(
-                            &[t, i],
-                            cur + gamma_t * lag_decay * order_decay * prop.at(&[0, i]),
-                        );
-                    }
-                }
-            }
-        }
-
-        // --- superpose, apply sensor failures and physical limits ---
-        for (i, failed) in failed_until.iter_mut().enumerate() {
-            if *failed <= t && rng.gen::<f32>() < config.failure_prob {
-                *failed = t + rng.gen_range(3..30);
-            }
-            let raw = inherent.at(&[t, i]) + diffusion.at(&[t, i]);
-            let obs = if t < *failed {
-                0.0
-            } else {
-                match config.kind {
-                    SignalKind::Speed => raw.clamp(0.0, scale_cap),
-                    SignalKind::Flow => raw.round().clamp(0.0, scale_cap),
-                }
-            };
-            values.set(&[t, i], obs);
-        }
-    }
-
+    let p_f = SparseNetwork::from_network(&network).forward_transition();
+    let mut inherent = Array::zeros(&[config.num_steps, config.num_nodes]);
+    let mut diffusion = Array::zeros(&[config.num_steps, config.num_nodes]);
+    let hidden = Some((&mut inherent, &mut diffusion));
+    let values = generate(config, &p_f, &mut rng, hidden);
     TrafficData {
         network,
         values,
@@ -294,9 +180,8 @@ pub fn simulate(config: &SimulatorConfig) -> TrafficData {
 
 /// Configuration of a city-scale simulated dataset. Same generative model as
 /// [`SimulatorConfig`], but the road network is a [`SparseNetwork`] built by
-/// the O(n · degree) grid generator, and the diffusion term propagates
-/// through sparse matrix-vector products — O(nnz) per step instead of O(n²)
-/// — so 10k–100k-node networks are practical.
+/// the O(n · degree) grid generator, so 10k–100k-node networks are
+/// practical.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CityConfig {
     /// Number of sensors (10k–100k is the intended range; any n ≥ 1 works).
@@ -354,12 +239,35 @@ impl CityConfig {
             seed: 42,
         }
     }
+
+    /// The same model as a [`SimulatorConfig`], the form [`generate`] reads.
+    /// `knn` carries `max_degree` but is never read: the city's transition
+    /// is passed in.
+    fn dynamics(&self) -> SimulatorConfig {
+        SimulatorConfig {
+            num_nodes: self.num_nodes,
+            num_steps: self.num_steps,
+            steps_per_day: self.steps_per_day,
+            kind: self.kind,
+            knn: self.max_degree,
+            kappa: self.kappa,
+            ks: self.ks,
+            kt: self.kt,
+            diffusion_strength: self.diffusion_strength,
+            dynamic_amplitude: self.dynamic_amplitude,
+            noise_std: self.noise_std,
+            incident_rate: self.incident_rate,
+            day_variability: self.day_variability,
+            failure_prob: self.failure_prob,
+            seed: self.seed,
+        }
+    }
 }
 
 /// A generated city-scale dataset. Unlike [`TrafficData`] the hidden
 /// components are not retained — at 100k nodes each extra `[T, N]` array is
 /// real memory, and the decoupling-verification tests that need them run on
-/// the small dense simulator.
+/// [`simulate`].
 #[derive(Clone, Debug)]
 pub struct CityData {
     /// The sparse road network the signal diffuses over.
@@ -372,71 +280,85 @@ pub struct CityData {
     pub kind: SignalKind,
 }
 
-impl CityData {
-    /// Number of time steps.
-    pub fn num_steps(&self) -> usize {
-        self.values.shape()[0]
-    }
-
-    /// Number of sensors.
-    pub fn num_nodes(&self) -> usize {
-        self.values.shape()[1]
-    }
-
-    /// Time-of-day slot index for step `t`.
-    pub fn time_of_day(&self, t: usize) -> usize {
-        t % self.steps_per_day
-    }
-
-    /// Day-of-week index (0..7) for step `t`.
-    pub fn day_of_week(&self, t: usize) -> usize {
-        (t / self.steps_per_day) % 7
+/// Generate a city-scale dataset (deterministic in `config.seed`).
+///
+/// Builds the road network with [`SparseNetwork::random_city`] (grid plus
+/// shortcuts, bounded degree) and runs the same recurrence as [`simulate`]
+/// over its forward transition, keeping only the observed signal.
+pub fn simulate_city(config: &CityConfig) -> CityData {
+    let dynamics = config.dynamics();
+    let mut rng = seeded_rng(&dynamics);
+    let network =
+        SparseNetwork::random_city(config.num_nodes, config.max_degree, config.kappa, &mut rng);
+    let values = generate(&dynamics, &network.forward_transition(), &mut rng, None);
+    CityData {
+        network,
+        values,
+        steps_per_day: config.steps_per_day,
+        kind: config.kind,
     }
 }
 
-/// Generate a city-scale dataset (deterministic in `config.seed`).
-///
-/// The per-step recurrence is identical to [`simulate`] — inherent profile
-/// plus lagged graph diffusion of the observed deviation — but the diffusion
-/// propagates through masked sparse transition powers: one
-/// `[N, N] × [N, 1]` spmm per (lag, order) pair costs O(nnz) where the dense
-/// generator's `[1, N] × [N, N]` product costs O(n²).
-pub fn simulate_city(config: &CityConfig) -> CityData {
+/// Check the sizes a simulation needs and seed the RNG that builds its
+/// network and then drives [`generate`].
+fn seeded_rng(config: &SimulatorConfig) -> StdRng {
     assert!(
         config.num_nodes > 0 && config.num_steps > 0,
         "empty simulation"
     );
     assert!(config.steps_per_day > 0, "steps_per_day must be positive");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let network =
-        SparseNetwork::random_city(config.num_nodes, config.max_degree, config.kappa, &mut rng);
+    StdRng::seed_from_u64(config.seed)
+}
+
+/// The generator's per-step recurrence: inherent profile plus lagged graph
+/// diffusion of the observed deviation, through the masked powers
+/// `mask(P_f^k)`, `k = 1..=ks`, of the `[N, N]` forward transition `p_f`.
+/// Each (lag, order) pair costs one `[N, N] × [N, 1]` spmm, O(nnz). Returns
+/// the observed `[T, N]` signal; given `hidden`, also writes the inherent and
+/// diffusion components into those two `[T, N]` arrays.
+fn generate(
+    config: &SimulatorConfig,
+    p_f: &CsrMatrix,
+    rng: &mut StdRng,
+    mut hidden: Option<(&mut Array, &mut Array)>,
+) -> Array {
     let (t_total, n) = (config.num_steps, config.num_nodes);
 
-    // Per-node inherent profile parameters (same distributions as the dense
-    // simulator).
-    let (base, scale_cap) = match config.kind {
-        SignalKind::Speed => (55.0f32, 70.0f32),
-        SignalKind::Flow => (180.0f32, 500.0f32),
+    // Per-node inherent profile parameters. Only congestion diffuses, not
+    // the base level, which keeps the process stable: `base_frac` of each
+    // node's base is taken off an observation before it propagates.
+    let (base, scale_cap, base_frac) = match config.kind {
+        SignalKind::Speed => (55.0f32, 70.0f32, 1.0f32),
+        SignalKind::Flow => (180.0f32, 500.0f32, 0.35f32),
     };
     let node_base: Vec<f32> = (0..n).map(|_| base * rng.gen_range(0.85..1.15)).collect();
+    // Morning vs evening peak mix per node (Figure 8 shows node 2 congests in
+    // the morning, node 111 in the evening).
     let morning_amp: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..0.5)).collect();
     let evening_amp: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..0.5)).collect();
     let peak_width: Vec<f32> = (0..n).map(|_| rng.gen_range(0.04..0.10)).collect();
     let phase_jitter: Vec<f32> = (0..n).map(|_| rng.gen_range(-0.02..0.02)).collect();
 
+    // AR(1) noise state per node.
     let mut ar: Vec<f32> = vec![0.0; n];
     let rho = 0.9f32;
 
-    let powers = transition::masked_powers_csr(&network.forward_transition(), config.ks);
+    let powers = transition::masked_powers_csr(p_f, config.ks);
 
     let mut values = Array::zeros(&[t_total, n]);
     let mut inherent_row: Vec<f32> = vec![0.0; n];
     let mut diffusion_row: Vec<f32> = vec![0.0; n];
     let mut dev = Array::zeros(&[n, 1]);
 
+    // Sensor-failure bookkeeping: when triggered, a sensor reads zero for a
+    // geometric-length stretch.
     let mut failed_until: Vec<usize> = vec![0; n];
+
+    // Incident state: (active-until step, severity) per node.
     let mut incident_until: Vec<usize> = vec![0; n];
     let mut incident_severity: Vec<f32> = vec![0.0; n];
+    // Per-(node, day) congestion amplitude factor, resampled at each day
+    // boundary: the day-to-day variability real datasets show.
     let mut day_factor: Vec<f32> = vec![1.0; n];
     let mut current_day = usize::MAX;
 
@@ -445,6 +367,7 @@ pub fn simulate_city(config: &CityConfig) -> CityData {
         let dow = (t / config.steps_per_day) % 7;
         let weekend = if dow >= 5 { 0.45 } else { 1.0 };
 
+        // Resample per-day amplitude factors at day boundaries.
         let day = t / config.steps_per_day;
         if day != current_day {
             current_day = day;
@@ -455,8 +378,9 @@ pub fn simulate_city(config: &CityConfig) -> CityData {
 
         // --- inherent component ---
         for i in 0..n {
+            // Incident dynamics: start/expire local congestion events.
             if incident_until[i] <= t && rng.gen::<f32>() < config.incident_rate {
-                incident_until[i] = t + rng.gen_range(6..36);
+                incident_until[i] = t + rng.gen_range(6..36); // 30 min .. 3 h
                 incident_severity[i] = rng.gen_range(0.25..0.6);
             }
             let incident = if t < incident_until[i] {
@@ -472,51 +396,48 @@ pub fn simulate_city(config: &CityConfig) -> CityData {
                     .min(0.95);
             ar[i] = rho * ar[i] + rng.gen_range(-1.0f32..1.0) * config.noise_std;
             inherent_row[i] = match config.kind {
+                // Congestion lowers speed.
                 SignalKind::Speed => node_base[i] * (1.0 - congestion) + ar[i],
+                // Congestion raises flow.
                 SignalKind::Flow => node_base[i] * (0.35 + congestion * 1.8) + ar[i] * 4.0,
             };
         }
 
-        // --- diffusion component: lagged sparse propagation of the observed
+        // --- diffusion component: lagged graph propagation of the *observed*
         // signal with time-varying coupling ---
         let gamma_t = config.diffusion_strength
             * (1.0
                 + config.dynamic_amplitude
                     * (2.0 * std::f32::consts::PI * tod - std::f32::consts::FRAC_PI_2).sin())
             / (config.ks * config.kt) as f32;
-        diffusion_row.iter_mut().for_each(|d| *d = 0.0);
-        if t > 0 {
-            for tau in 1..=config.kt.min(t) {
-                // Deviation of the lagged observation from each node's base:
-                // only congestion (not the base level) diffuses. Stored as a
-                // column vector so `prop[i] = Σ_j P_k[i, j] · dev[j]` is one
-                // CSR spmm along incoming edges.
-                let base_frac = match config.kind {
-                    SignalKind::Speed => 1.0,
-                    SignalKind::Flow => 0.35,
-                };
-                for (i, base) in node_base.iter().enumerate() {
-                    dev.set(&[i, 0], values.at(&[t - tau, i]) - base * base_frac);
-                }
-                let lag_decay = 0.6f32.powi(tau as i32 - 1);
-                for (k_idx, p_k) in powers.iter().enumerate() {
-                    let order_decay = 0.5f32.powi(k_idx as i32);
-                    let prop = p_k.matmul(&dev); // [N, 1]
-                    let scale = gamma_t * lag_decay * order_decay;
-                    for (d, p) in diffusion_row.iter_mut().zip(prop.data()) {
-                        *d += scale * p;
-                    }
+        diffusion_row.fill(0.0);
+        for tau in 1..=config.kt.min(t) {
+            // Deviation of the lagged observation from each node's base, as
+            // a column vector so `prop[i] = Σ_j P_k[i, j] · dev[j]` is one
+            // spmm along incoming edges.
+            let lagged = &values.data()[(t - tau) * n..(t - tau + 1) * n];
+            for ((d, x), node) in dev.data_mut().iter_mut().zip(lagged).zip(&node_base) {
+                *d = x - node * base_frac;
+            }
+            let lag_decay = 0.6f32.powi(tau as i32 - 1);
+            for (k_idx, p_k) in powers.iter().enumerate() {
+                let order_decay = 0.5f32.powi(k_idx as i32);
+                let prop = p_k.matmul(&dev); // [N, 1]
+                let scale = gamma_t * lag_decay * order_decay;
+                for (d, p) in diffusion_row.iter_mut().zip(prop.data()) {
+                    *d += scale * p;
                 }
             }
         }
 
         // --- superpose, apply sensor failures and physical limits ---
-        for (i, failed) in failed_until.iter_mut().enumerate() {
+        let row = &mut values.data_mut()[t * n..(t + 1) * n];
+        for (i, (failed, obs)) in failed_until.iter_mut().zip(row).enumerate() {
             if *failed <= t && rng.gen::<f32>() < config.failure_prob {
                 *failed = t + rng.gen_range(3..30);
             }
             let raw = inherent_row[i] + diffusion_row[i];
-            let obs = if t < *failed {
+            *obs = if t < *failed {
                 0.0
             } else {
                 match config.kind {
@@ -524,16 +445,13 @@ pub fn simulate_city(config: &CityConfig) -> CityData {
                     SignalKind::Flow => raw.round().clamp(0.0, scale_cap),
                 }
             };
-            values.set(&[t, i], obs);
+        }
+        if let Some((inherent, diffusion)) = &mut hidden {
+            inherent.data_mut()[t * n..(t + 1) * n].copy_from_slice(&inherent_row);
+            diffusion.data_mut()[t * n..(t + 1) * n].copy_from_slice(&diffusion_row);
         }
     }
-
-    CityData {
-        network,
-        values,
-        steps_per_day: config.steps_per_day,
-        kind: config.kind,
-    }
+    values
 }
 
 /// Smooth daily peak: a periodic Gaussian bump centred at `center` (fraction
@@ -569,6 +487,16 @@ mod tests {
         assert_eq!(d.num_nodes(), 12);
         assert_eq!(d.time_of_day(290), 2);
         assert_eq!(d.day_of_week(2 * 288 + 5), 2);
+    }
+
+    #[test]
+    fn raw_window_cuts_values_and_clock() {
+        let d = simulate(&SimulatorConfig::tiny());
+        let (window, tod, dow) = d.raw_window(286, 4);
+        assert_eq!(window.shape(), &[4, 12, 1]);
+        assert_eq!(window.data(), &d.values.data()[286 * 12..290 * 12]);
+        assert_eq!(tod, [286, 287, 0, 1]);
+        assert_eq!(dow, [0, 0, 1, 1]);
     }
 
     #[test]
@@ -653,8 +581,7 @@ mod tests {
         let a = simulate_city(&cfg);
         let b = simulate_city(&cfg);
         assert_eq!(a.values.data(), b.values.data());
-        assert_eq!(a.num_steps(), 96);
-        assert_eq!(a.num_nodes(), 300);
+        assert_eq!(a.values.shape(), &[96, 300]);
         assert_eq!(a.network.num_nodes(), 300);
         assert!(a.network.has_no_isolated_nodes());
         let vals = a.values.data();
@@ -690,12 +617,12 @@ mod tests {
 
     #[test]
     fn city_scales_beyond_dense_reach() {
-        // 20k nodes: the dense simulator would need a 1.6 GB adjacency and
-        // O(n²) per-step products; the sparse path must stay fast and small.
+        // 20k nodes: `simulate`'s dense random geometric network would need
+        // a 1.6 GB adjacency; the city network must stay fast and small.
         let mut cfg = CityConfig::with_nodes(20_000);
         cfg.num_steps = 4;
         let d = simulate_city(&cfg);
-        assert_eq!(d.num_nodes(), 20_000);
+        assert_eq!(d.values.shape(), &[4, 20_000]);
         assert!(d.network.num_edges() <= 6 * 20_000);
         assert!(d.values.data().iter().all(|v| v.is_finite()));
     }

@@ -38,18 +38,7 @@ fn factory_for(data: &WindowedDataset, seed: u64) -> ModelFactory {
 /// Build a raw-scale request from a dataset window.
 fn request_for(data: &WindowedDataset, split: Split, widx: usize, model: &str) -> InferRequest {
     let start = data.window_starts(split)[widx];
-    let (th, n) = (data.th(), data.num_nodes());
-    let raw = data.data();
-    let mut window = Array::zeros(&[th, n, 1]);
-    let mut tod = Vec::with_capacity(th);
-    let mut dow = Vec::with_capacity(th);
-    for t in 0..th {
-        tod.push(raw.time_of_day(start + t));
-        dow.push(raw.day_of_week(start + t));
-        for i in 0..n {
-            window.set(&[t, i, 0], raw.values.at(&[start + t, i]));
-        }
-    }
+    let (window, tod, dow) = data.data().raw_window(start, data.th());
     InferRequest {
         model: model.to_string(),
         window,

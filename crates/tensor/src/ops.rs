@@ -19,10 +19,16 @@ impl Tensor {
         let _prof = crate::profile::op_scope("add");
         let out = self.with_value(|a| other.with_value(|b| a.add(b)));
         let (sa, sb) = (self.shape(), other.shape());
+        let (ga, gb) = (self.requires_grad(), other.requires_grad());
         Tensor::from_op(
             out,
             vec![self.clone(), other.clone()],
-            Box::new(move |g| vec![Some(g.reduce_to_shape(&sa)), Some(g.reduce_to_shape(&sb))]),
+            Box::new(move |g| {
+                vec![
+                    ga.then(|| g.reduce_to_shape(&sa)),
+                    gb.then(|| g.reduce_to_shape(&sb)),
+                ]
+            }),
         )
     }
 
@@ -31,13 +37,14 @@ impl Tensor {
         let _prof = crate::profile::op_scope("sub");
         let out = self.with_value(|a| other.with_value(|b| a.sub(b)));
         let (sa, sb) = (self.shape(), other.shape());
+        let (ga, gb) = (self.requires_grad(), other.requires_grad());
         Tensor::from_op(
             out,
             vec![self.clone(), other.clone()],
             Box::new(move |g| {
                 vec![
-                    Some(g.reduce_to_shape(&sa)),
-                    Some(g.scale(-1.0).reduce_to_shape(&sb)),
+                    ga.then(|| g.reduce_to_shape(&sa)),
+                    gb.then(|| g.scale(-1.0).reduce_to_shape(&sb)),
                 ]
             }),
         )
@@ -49,13 +56,17 @@ impl Tensor {
         let (av, bv) = (self.value(), other.value());
         let out = av.mul(&bv);
         let (sa, sb) = (av.shape().to_vec(), bv.shape().to_vec());
+        // As in `matmul`: dA needs B and dB needs A, so a value is kept only
+        // when the other operand takes a gradient.
+        let bv = self.requires_grad().then_some(bv);
+        let av = other.requires_grad().then_some(av);
         Tensor::from_op(
             out,
             vec![self.clone(), other.clone()],
             Box::new(move |g| {
                 vec![
-                    Some(g.mul(&bv).reduce_to_shape(&sa)),
-                    Some(g.mul(&av).reduce_to_shape(&sb)),
+                    bv.as_ref().map(|bv| g.mul(bv).reduce_to_shape(&sa)),
+                    av.as_ref().map(|av| g.mul(av).reduce_to_shape(&sb)),
                 ]
             }),
         )
@@ -67,17 +78,18 @@ impl Tensor {
         let (av, bv) = (self.value(), other.value());
         let out = av.div(&bv);
         let (sa, sb) = (av.shape().to_vec(), bv.shape().to_vec());
+        // Both gradients divide by B; only dB needs A.
+        let ga = self.requires_grad();
+        let av = other.requires_grad().then_some(av);
         Tensor::from_op(
             out,
             vec![self.clone(), other.clone()],
             Box::new(move |g| {
-                let da = g.div(&bv).reduce_to_shape(&sa);
-                let db = g
-                    .mul(&av)
-                    .div(&bv.mul(&bv))
-                    .scale(-1.0)
-                    .reduce_to_shape(&sb);
-                vec![Some(da), Some(db)]
+                let da = ga.then(|| g.div(&bv).reduce_to_shape(&sa));
+                let db = av
+                    .as_ref()
+                    .map(|av| g.mul(av).div(&bv.mul(&bv)).scale(-1.0).reduce_to_shape(&sb));
+                vec![da, db]
             }),
         )
     }

@@ -21,17 +21,7 @@ fn model_config(n: usize) -> D2stgnnConfig {
 
 /// Build a raw-scale request for the window whose input starts at `start`.
 fn request_at(data: &WindowedDataset, start: usize, model: &str) -> InferRequest {
-    let (th, n) = (data.th(), data.num_nodes());
-    let raw = data.data();
-    let mut window = Array::zeros(&[th, n, 1]);
-    let (mut tod, mut dow) = (Vec::new(), Vec::new());
-    for t in 0..th {
-        tod.push(raw.time_of_day(start + t));
-        dow.push(raw.day_of_week(start + t));
-        for i in 0..n {
-            window.set(&[t, i, 0], raw.values.at(&[start + t, i]));
-        }
-    }
+    let (window, tod, dow) = data.data().raw_window(start, data.th());
     InferRequest {
         model: model.to_string(),
         window,

@@ -119,15 +119,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A forecast for the pinned city: the reply names the shard that served it.
     let raw = data.data();
-    let start = raw.values.shape()[0] - data.th();
-    let window: Vec<Vec<f32>> = (0..data.th())
-        .map(|t| (0..n).map(|i| raw.values.at(&[start + t, i])).collect())
-        .collect();
+    let (window, tod, dow) = raw.raw_window(raw.num_steps() - data.th(), data.th());
     let body = serde_json::to_string(&ForecastBody {
         model: "metr-sim".to_string(),
-        window,
-        tod: (0..data.th()).map(|t| raw.time_of_day(start + t)).collect(),
-        dow: (0..data.th()).map(|t| raw.day_of_week(start + t)).collect(),
+        window: window.data().chunks(n).map(<[f32]>::to_vec).collect(),
+        tod,
+        dow,
         deadline_ms: Some(2_000),
         sensor: None,
         city: Some("metr-sim".to_string()),

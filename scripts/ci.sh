@@ -24,8 +24,10 @@ cargo test --manifest-path perfbench/Cargo.toml --features trace --target-dir ta
 echo "==> cargo test -q"
 cargo test -q
 # Plain `cargo test` runs only the root package's tests; these crates' own
-# unit and integration tests are run by no other stage below.
-cargo test -q -p d2stgnn-graph -p d2stgnn-data -p d2stgnn-baselines -p d2stgnn-bench
+# unit and integration tests are run by no other stage below, and core's and
+# serve's only with `obsv` or `sanitize` on, not in the default build.
+cargo test -q -p d2stgnn-graph -p d2stgnn-data -p d2stgnn-baselines -p d2stgnn-bench \
+    -p d2stgnn-core -p d2stgnn-serve
 
 # Every other tensor stage runs with debug assertions and overflow checks on;
 # this one runs the suite (the layout walks' offset arithmetic, the
