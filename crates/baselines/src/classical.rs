@@ -1,7 +1,7 @@
 //! Classical (non-neural) baselines of Table 3: Historical Average, Vector
 //! Auto-Regression, and linear Support Vector Regression.
 
-use d2stgnn_data::{metrics, Metrics, Split, TrafficData, WindowedDataset};
+use d2stgnn_data::{metrics, Metrics, Split, WindowedDataset};
 use d2stgnn_tensor::Array;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,21 +28,20 @@ pub fn evaluate_classical<F: ClassicalForecaster>(
     split: Split,
     null_val: f32,
 ) -> (Array, Array, Vec<(usize, Metrics)>) {
-    let starts: Vec<usize> = data.window_starts(split).to_vec();
+    let starts = data.window_starts(split);
     let (tf, n) = (data.tf(), data.num_nodes());
-    let mut pred = Array::zeros(&[starts.len(), tf, n]);
-    let mut target = Array::zeros(&[starts.len(), tf, n]);
-    for (s_idx, &start) in starts.iter().enumerate() {
+    let values = data.data().values.data();
+    let (mut pred, mut target) = (Vec::new(), Vec::new());
+    for &start in starts {
         let t_end = start + data.th();
         let p = model.predict(data, t_end);
         assert_eq!(p.shape(), &[tf, n], "{} returned a bad shape", model.name());
-        for t in 0..tf {
-            for i in 0..n {
-                pred.set(&[s_idx, t, i], p.at(&[t, i]));
-                target.set(&[s_idx, t, i], data.data().values.at(&[t_end + t, i]));
-            }
-        }
+        pred.extend_from_slice(p.data());
+        target.extend_from_slice(&values[t_end * n..(t_end + tf) * n]);
     }
+    let shape = [starts.len(), tf, n];
+    let pred = crate::error::require(Array::from_vec(&shape, pred), "prediction shape");
+    let target = crate::error::require(Array::from_vec(&shape, target), "target shape");
     let hs: Vec<usize> = [3, 6, 12].into_iter().filter(|h| *h <= tf).collect();
     let horizons = metrics::evaluate_horizons(&pred, &target, &hs, null_val);
     (pred, target, horizons)
@@ -57,7 +56,8 @@ pub fn evaluate_classical<F: ClassicalForecaster>(
 /// weekend) slot for that sensor.
 #[derive(Clone)]
 pub struct HistoricalAverage {
-    /// `[2, steps_per_day, N]` means (weekday class 0, weekend class 1).
+    /// `[2 * steps_per_day, N]` means, one row per (day class, slot): row
+    /// `class * steps_per_day + slot` (weekday class 0, weekend class 1).
     table: Option<Array>,
     steps_per_day: usize,
 }
@@ -102,18 +102,10 @@ impl HistoricalAverage {
             "HistoricalAverage::fit() must run before predict()",
         );
         let spd = self.steps_per_day;
-        let n = table.shape()[2];
-        let mut out = Array::zeros(&[tf, n]);
-        for h in 0..tf {
-            let abs = start_slot + h;
-            let slot = abs % spd;
-            let dow = (start_dow + abs / spd) % 7;
-            let cls = Self::day_class(dow);
-            for i in 0..n {
-                out.set(&[h, i], table.at(&[cls, slot, i]));
-            }
-        }
-        out
+        let rows: Vec<usize> = (start_slot..start_slot + tf)
+            .map(|abs| Self::day_class((start_dow + abs / spd) % 7) * spd + abs % spd)
+            .collect();
+        table.index_select(0, &rows)
     }
 }
 
@@ -125,19 +117,20 @@ impl Default for HistoricalAverage {
 
 impl ClassicalForecaster for HistoricalAverage {
     fn fit(&mut self, data: &WindowedDataset) {
-        let raw: &TrafficData = data.data();
+        let raw = data.data();
         let (train_end, _) = data.split_bounds();
         let (spd, n) = (raw.steps_per_day, raw.num_nodes());
         let mut sums = vec![0f64; 2 * spd * n];
         let mut counts = vec![0usize; 2 * spd * n];
-        for t in 0..train_end {
-            let slot = raw.time_of_day(t);
-            let cls = Self::day_class(raw.day_of_week(t));
-            for i in 0..n {
-                let v = raw.values.at(&[t, i]);
+        for (t, row) in raw.values.data().chunks(n).take(train_end).enumerate() {
+            let cell = (Self::day_class(raw.day_of_week(t)) * spd + raw.time_of_day(t)) * n;
+            let cells = sums[cell..cell + n]
+                .iter_mut()
+                .zip(&mut counts[cell..cell + n]);
+            for ((sum, count), &v) in cells.zip(row) {
                 if v != 0.0 {
-                    sums[(cls * spd + slot) * n + i] += v as f64;
-                    counts[(cls * spd + slot) * n + i] += 1;
+                    *sum += v as f64;
+                    *count += 1;
                 }
             }
         }
@@ -163,29 +156,15 @@ impl ClassicalForecaster for HistoricalAverage {
             })
             .collect();
         self.table = Some(crate::error::require(
-            Array::from_vec(&[2, spd, n], table_data),
+            Array::from_vec(&[2 * spd, n], table_data),
             "table shape",
         ));
         self.steps_per_day = spd;
     }
 
     fn predict(&self, data: &WindowedDataset, t_end: usize) -> Array {
-        let table = crate::error::required(
-            self.table.as_ref(),
-            "HistoricalAverage::fit() must run before predict()",
-        );
         let raw = data.data();
-        let (tf, n) = (data.tf(), data.num_nodes());
-        let mut out = Array::zeros(&[tf, n]);
-        for h in 0..tf {
-            let t = t_end + h;
-            let slot = raw.time_of_day(t);
-            let cls = Self::day_class(raw.day_of_week(t));
-            for i in 0..n {
-                out.set(&[h, i], table.at(&[cls, slot, i]));
-            }
-        }
-        out
+        self.predict_slots(raw.day_of_week(t_end), raw.time_of_day(t_end), data.tf())
     }
 
     fn name(&self) -> String {
@@ -233,31 +212,32 @@ impl ClassicalForecaster for VectorAutoRegression {
         let n = raw.num_nodes();
         let p = self.p;
         assert!(train_end > p + 1, "not enough training data for VAR({p})");
-        let scaler = data.scaler();
         let d = n * p + 1;
         // Normal equations on normalized data: (XᵀX + λI) W = XᵀY.
+        let z = data
+            .scaler()
+            .transform(&raw.values.slice_axis(0, 0, train_end));
+        let rows: Vec<&[f32]> = z.data().chunks(n).collect();
         let mut xtx = vec![0f64; d * d];
         let mut xty = vec![0f64; d * n];
-        let norm = |t: usize, i: usize| -> f64 {
-            ((raw.values.at(&[t, i]) - scaler.mean()) / scaler.std()) as f64
-        };
         let mut xrow = vec![0f64; d];
         for t in p..train_end {
-            for lag in 0..p {
-                for i in 0..n {
-                    xrow[lag * n + i] = norm(t - 1 - lag, i);
-                }
+            // The p lagged rows, newest first, then the intercept.
+            let lagged = rows[t - p..t].iter().rev().flat_map(|row| row.iter());
+            for (x, &v) in xrow.iter_mut().zip(lagged) {
+                *x = v as f64;
             }
             xrow[d - 1] = 1.0;
-            for a in 0..d {
-                if xrow[a] == 0.0 {
+            let target: Vec<f64> = rows[t].iter().map(|&v| v as f64).collect();
+            for (a, &xa) in xrow.iter().enumerate() {
+                if xa == 0.0 {
                     continue;
                 }
-                for b in a..d {
-                    xtx[a * d + b] += xrow[a] * xrow[b];
+                for (acc, &xb) in xtx[a * d + a..(a + 1) * d].iter_mut().zip(&xrow[a..]) {
+                    *acc += xa * xb;
                 }
-                for j in 0..n {
-                    xty[a * n + j] += xrow[a] * norm(t, j);
+                for (acc, &y) in xty[a * n..(a + 1) * n].iter_mut().zip(&target) {
+                    *acc += xa * y;
                 }
             }
         }
@@ -278,37 +258,32 @@ impl ClassicalForecaster for VectorAutoRegression {
     fn predict(&self, data: &WindowedDataset, t_end: usize) -> Array {
         let coef =
             crate::error::required(self.coef.as_ref(), "Var::fit() must run before predict()");
-        let raw = data.data();
         let scaler = data.scaler();
         let (tf, n, p) = (data.tf(), data.num_nodes(), self.p);
-        let d = n * p + 1;
         // History buffer, newest first, normalized.
-        let mut history: Vec<Vec<f32>> = (0..p)
-            .map(|lag| {
-                (0..n)
-                    .map(|i| (raw.values.at(&[t_end - 1 - lag, i]) - scaler.mean()) / scaler.std())
-                    .collect()
-            })
-            .collect();
-        let mut out = Array::zeros(&[tf, n]);
-        for h in 0..tf {
-            let mut next = vec![0f32; n];
-            for (j, slot) in next.iter_mut().enumerate() {
-                let mut acc = coef.at(&[d - 1, j]); // intercept
-                for (lag, lagged) in history.iter().enumerate() {
-                    for (i, v) in lagged.iter().enumerate() {
-                        acc += coef.at(&[lag * n + i, j]) * v;
-                    }
-                }
-                *slot = acc;
-            }
-            for (i, v) in next.iter().enumerate() {
-                out.set(&[h, i], v * scaler.std() + scaler.mean());
-            }
+        let recent = scaler.transform(&data.data().values.slice_axis(0, t_end - p, t_end));
+        let mut history: Vec<Vec<f32>> =
+            recent.data().chunks(n).rev().map(<[f32]>::to_vec).collect();
+        // `coef` rows are the lagged inputs in history order, then the intercept.
+        let (weights, intercept) = coef.data().split_at(n * p * n);
+        let mut forecast = Vec::with_capacity(tf * n);
+        for _ in 0..tf {
+            let next: Vec<f32> = intercept
+                .iter()
+                .enumerate()
+                .map(|(j, &b)| {
+                    let column = weights.iter().skip(j).step_by(n);
+                    column
+                        .zip(history.iter().flatten())
+                        .fold(b, |acc, (w, v)| acc + w * v)
+                })
+                .collect();
+            forecast.extend_from_slice(&next);
             history.rotate_right(1);
             history[0] = next;
         }
-        out
+        let forecast = crate::error::require(Array::from_vec(&[tf, n], forecast), "forecast shape");
+        scaler.inverse_transform(&forecast)
     }
 
     fn name(&self) -> String {
@@ -413,8 +388,7 @@ impl ClassicalForecaster for LinearSvr {
         let feat = th + 1;
         let mut w = vec![0f32; tf * feat];
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let norm =
-            |t: usize, i: usize| -> f32 { (raw.values.at(&[t, i]) - scaler.mean()) / scaler.std() };
+        let z = scaler.transform(&raw.values.slice_axis(0, 0, train_end));
         let usable = train_end.saturating_sub(th + tf);
         assert!(usable > 0, "not enough training data for SVR");
         let samples = usable * n;
@@ -423,13 +397,19 @@ impl ClassicalForecaster for LinearSvr {
             for _ in 0..draws {
                 let start = rng.gen_range(0..usable);
                 let node = rng.gen_range(0..n);
-                let x: Vec<f32> = (0..th).map(|k| norm(start + k, node)).collect();
-                for h in 0..tf {
-                    let y = norm(start + th + h, node);
+                // The sensor's normalized series: th inputs, then tf targets.
+                let series: Vec<f32> = z.data()[start * n + node..]
+                    .iter()
+                    .step_by(n)
+                    .take(th + tf)
+                    .copied()
+                    .collect();
+                let (x, targets) = series.split_at(th);
+                for (h, &y) in targets.iter().enumerate() {
                     let wrow = &mut w[h * feat..(h + 1) * feat];
                     let pred: f32 = wrow[..th]
                         .iter()
-                        .zip(&x)
+                        .zip(x)
                         .map(|(wv, xv)| wv * xv)
                         .sum::<f32>()
                         + wrow[th];
@@ -460,20 +440,26 @@ impl ClassicalForecaster for LinearSvr {
             self.weights.as_ref(),
             "LinearSvr::fit() must run before predict()",
         );
-        let raw = data.data();
         let scaler = data.scaler();
         let (th, tf, n) = (data.th(), data.tf(), data.num_nodes());
-        let mut out = Array::zeros(&[tf, n]);
-        for i in 0..n {
-            let x: Vec<f32> = (0..th)
-                .map(|k| (raw.values.at(&[t_end - th + k, i]) - scaler.mean()) / scaler.std())
-                .collect();
-            for h in 0..tf {
-                let pred: f32 = (0..th).map(|k| w.at(&[h, k]) * x[k]).sum::<f32>() + w.at(&[h, th]);
-                out.set(&[h, i], pred * scaler.std() + scaler.mean());
-            }
-        }
-        out
+        let recent = scaler.transform(&data.data().values.slice_axis(0, t_end - th, t_end));
+        // Each sensor's normalized input window.
+        let inputs: Vec<Vec<f32>> = (0..n)
+            .map(|i| recent.data().iter().skip(i).step_by(n).copied().collect())
+            .collect();
+        // One weight row (th weights, then the bias) per forecast step.
+        let forecast: Vec<f32> = w
+            .data()
+            .chunks(th + 1)
+            .flat_map(|wrow| {
+                let (weights, bias) = (&wrow[..th], wrow[th]);
+                inputs
+                    .iter()
+                    .map(move |x| weights.iter().zip(x).map(|(w, x)| w * x).sum::<f32>() + bias)
+            })
+            .collect();
+        let forecast = crate::error::require(Array::from_vec(&[tf, n], forecast), "forecast shape");
+        scaler.inverse_transform(&forecast)
     }
 
     fn name(&self) -> String {

@@ -125,8 +125,8 @@ fn model_config(num_nodes: usize, steps_per_day: usize) -> D2stgnnConfig {
     cfg
 }
 
-/// Assemble one batch of consecutive windows starting at `start`, directly
-/// from a `[T, N]` series (same layout contract as
+/// Assemble one batch of windows starting at `starts`, directly from a
+/// `[T, N]` series, through [`Batch::from_windows`] (the layout contract of
 /// `WindowedDataset::batch`: normalized inputs, raw targets).
 fn make_batch(
     values: &Array,
@@ -135,27 +135,19 @@ fn make_batch(
     starts: &[usize],
 ) -> Batch {
     let n = values.shape()[1];
-    let b = starts.len();
-    let mut x = Array::zeros(&[b, TH, n, 1]);
-    let mut y = Array::zeros(&[b, TF, n, 1]);
-    let mut tod = Vec::with_capacity(b * TH);
-    let mut dow = Vec::with_capacity(b * TH);
-    for (bi, &s) in starts.iter().enumerate() {
-        for t in 0..TH {
-            tod.push((s + t) % steps_per_day);
-            dow.push(((s + t) / steps_per_day) % 7);
-            for i in 0..n {
-                let v = values.at(&[s + t, i]);
-                x.set(&[bi, t, i, 0], (v - scaler.mean()) / scaler.std());
-            }
-        }
-        for t in 0..TF {
-            for i in 0..n {
-                y.set(&[bi, t, i, 0], values.at(&[s + TH + t, i]));
-            }
-        }
-    }
-    Batch { x, y, tod, dow }
+    let page = |s: usize, len: usize| {
+        let rows = values.slice_axis(0, s, s + len);
+        rows.reshape(&[len, n, 1]).expect("window page")
+    };
+    let windows = starts.iter().map(|&s| {
+        let steps = s..s + TH;
+        let tod = steps.clone().map(|t| t % steps_per_day).collect();
+        let dow = steps.map(|t| (t / steps_per_day) % 7).collect();
+        (page(s, TH), tod, dow)
+    });
+    let targets: Vec<Array> = starts.iter().map(|&s| page(s + TH, TF)).collect();
+    let y = Array::stack(&targets.iter().collect::<Vec<_>>(), 0).expect("target stack");
+    Batch::from_windows(scaler, windows, y).expect("at least one window")
 }
 
 /// Measure one network size: epoch time over `TRAIN_WINDOWS` training

@@ -16,7 +16,7 @@
 //!   from pool threads alone (≈1.0 on a single-core container).
 //!
 //! Writes `target/experiments/BENCH_tensor_kernels.json` (schema
-//! `d2stgnn-bench-v1`). `--fast` shrinks shapes and reps for the CI smoke.
+//! `d2stgnn-bench-v1`). `--fast` runs fewer, smaller shapes for the CI smoke.
 
 use std::process::Command;
 use std::time::Instant;
@@ -126,10 +126,13 @@ fn time_best(reps: usize, sink: &mut f64, mut f: impl FnMut() -> Array) -> f64 {
     best
 }
 
-/// GEMM shapes (square n) and the bmm shape `(batch, n)` for a mode.
+/// GEMM shapes (square n) and the bmm shape `(batch, n)` for a mode. The
+/// `--fast` set still ends at the full run's 512³: CI reads its speedup
+/// floors off the largest GEMM, and a 128³ one (about 0.1 ms) is too short
+/// to time or to split across threads.
 fn shapes(fast: bool) -> (&'static [usize], (usize, usize)) {
     if fast {
-        (&[48, 128], (4, 64))
+        (&[48, 128, 512], (4, 64))
     } else {
         (&[64, 128, 256, 384, 512], (8, 256))
     }

@@ -41,12 +41,15 @@ impl StandardScaler {
         self.std
     }
 
-    /// Normalize an array.
+    /// Normalize an array: each element becomes `(v - mean) / std`. With
+    /// [`StandardScaler::inverse_transform`], the one place outside the
+    /// autograd tape where the z-score is applied.
     pub fn transform(&self, x: &Array) -> Array {
-        x.map(|v| (v - self.mean) / self.std)
+        x.sub(&Array::scalar(self.mean))
+            .div(&Array::scalar(self.std))
     }
 
-    /// Invert the normalization.
+    /// Invert the normalization: each element becomes `v * std + mean`.
     pub fn inverse_transform(&self, x: &Array) -> Array {
         x.map(|v| v * self.std + self.mean)
     }

@@ -35,6 +35,33 @@ pub struct Batch {
 }
 
 impl Batch {
+    /// Stack raw `[T_h, N, 1]` windows and their clocks, as
+    /// [`TrafficData::raw_window`] cuts them and a forecast request carries
+    /// them, into a batch with the raw-scale targets `y`. The stacked inputs
+    /// are z-scored by [`StandardScaler::transform`]: training, evaluation
+    /// and serving all feed a model through this one function.
+    ///
+    /// `None` if there are no windows or their shapes differ.
+    pub fn from_windows(
+        scaler: &StandardScaler,
+        windows: impl IntoIterator<Item = (Array, Vec<usize>, Vec<usize>)>,
+        y: Array,
+    ) -> Option<Self> {
+        let (mut pages, mut tod, mut dow) = (vec![], vec![], vec![]);
+        for (page, page_tod, page_dow) in windows {
+            pages.push(page);
+            tod.extend(page_tod);
+            dow.extend(page_dow);
+        }
+        let raw = Array::stack(&pages.iter().collect::<Vec<_>>(), 0).ok()?;
+        Some(Self {
+            x: scaler.transform(&raw),
+            y,
+            tod,
+            dow,
+        })
+    }
+
     /// Batch size.
     pub fn batch_size(&self) -> usize {
         self.x.shape()[0]
@@ -164,31 +191,28 @@ impl WindowedDataset {
         }
     }
 
-    /// Assemble a batch from window indices within a split.
+    /// Assemble a batch from window indices within a split: each window's
+    /// raw input and target pages are cut by [`TrafficData::raw_window`]
+    /// and stacked by [`Batch::from_windows`].
     pub fn batch(&self, split: Split, indices: &[usize]) -> Batch {
-        let starts = self.starts(split);
-        let (b, n) = (indices.len(), self.num_nodes());
-        let mut x = Array::zeros(&[b, self.th, n, 1]);
-        let mut y = Array::zeros(&[b, self.tf, n, 1]);
-        let mut tod = Vec::with_capacity(b * self.th);
-        let mut dow = Vec::with_capacity(b * self.th);
-        for (bi, &wi) in indices.iter().enumerate() {
-            let s = starts[wi];
-            for t in 0..self.th {
-                tod.push(self.data.time_of_day(s + t));
-                dow.push(self.data.day_of_week(s + t));
-                for i in 0..n {
-                    let v = self.data.values.at(&[s + t, i]);
-                    x.set(&[bi, t, i, 0], (v - self.scaler.mean()) / self.scaler.std());
-                }
-            }
-            for t in 0..self.tf {
-                for i in 0..n {
-                    y.set(&[bi, t, i, 0], self.data.values.at(&[s + self.th + t, i]));
-                }
-            }
-        }
-        Batch { x, y, tod, dow }
+        let (th, tf, n) = (self.th, self.tf, self.num_nodes());
+        let starts: Vec<usize> = indices.iter().map(|&wi| self.starts(split)[wi]).collect();
+        let targets: Vec<Array> = starts
+            .iter()
+            .map(|&s| self.data.raw_window(s + th, tf).0)
+            .collect();
+        let windows = starts.iter().map(|&s| self.data.raw_window(s, th));
+        // Every window here has one shape, so only an empty `indices` leaves
+        // nothing to stack.
+        Array::stack(&targets.iter().collect::<Vec<_>>(), 0)
+            .ok()
+            .and_then(|y| Batch::from_windows(&self.scaler, windows, y))
+            .unwrap_or_else(|| Batch {
+                x: Array::zeros(&[0, th, n, 1]),
+                y: Array::zeros(&[0, tf, n, 1]),
+                tod: Vec::new(),
+                dow: Vec::new(),
+            })
     }
 
     /// Batches covering a split once: shuffled for training, in order

@@ -512,6 +512,13 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Answer every request of a batch that cannot run with the same error.
+fn fail_all(pending: Vec<Pending>, error: impl Fn() -> ServeError) {
+    for p in pending {
+        p.tx.send(Err(error())).ok();
+    }
+}
+
 fn process_batch(
     shared: &Shared,
     cache: &mut ReplicaCache,
@@ -525,10 +532,7 @@ fn process_batch(
             .first()
             .map(|p| p.request.model.clone())
             .unwrap_or_default();
-        for p in pending {
-            p.tx.send(Err(ServeError::UnknownModel(name.clone()))).ok();
-        }
-        return;
+        return fail_all(pending, || ServeError::UnknownModel(name.clone()));
     };
 
     let mut batch_span = d2stgnn_obsv::span!("d2stgnn_serve_batch");
@@ -587,50 +591,27 @@ fn process_batch(
             Ok(model) => {
                 cache.insert(version.name().to_string(), (version.generation(), model));
             }
-            Err(e) => {
-                let msg = e.to_string();
-                for p in live {
-                    p.tx.send(Err(ServeError::Internal(msg.clone()))).ok();
-                }
-                return;
-            }
+            Err(e) => return fail_all(live, || ServeError::Internal(e.to_string())),
         }
     }
     let Some((_, model)) = cache.get(version.name()) else {
         // Unreachable after the insert above; answer rather than abort.
-        for p in live {
-            p.tx.send(Err(ServeError::Internal(
-                "replica cache lost the model just built".to_string(),
-            )))
-            .ok();
-        }
-        return;
+        let msg = "replica cache lost the model just built";
+        return fail_all(live, || ServeError::Internal(msg.to_string()));
     };
     let model = model.as_ref();
 
     // Stack the windows into one normalized batch.
-    let [th, n] = version.input_shape();
-    let scaler = version.scaler();
-    let b = live.len();
-    let mut x = Array::zeros(&[b, th, n, 1]);
-    let mut tod = Vec::with_capacity(b * th);
-    let mut dow = Vec::with_capacity(b * th);
-    for (bi, p) in live.iter().enumerate() {
-        for t in 0..th {
-            tod.push(p.request.tod[t]);
-            dow.push(p.request.dow[t]);
-            for i in 0..n {
-                let raw = p.request.window.at(&[t, i, 0]);
-                x.set(&[bi, t, i, 0], (raw - scaler.mean()) / scaler.std());
-            }
-        }
-    }
-    let tf = version.horizon();
-    let batch = Batch {
-        x,
-        y: Array::zeros(&[b, tf, n, 1]),
-        tod,
-        dow,
+    let [_, n] = version.input_shape();
+    let (b, tf, scaler) = (live.len(), version.horizon(), version.scaler());
+    let windows = live.iter().map(|p| {
+        let r = &p.request;
+        (r.window.clone(), r.tod.clone(), r.dow.clone())
+    });
+    let Some(batch) = Batch::from_windows(&scaler, windows, Array::zeros(&[b, tf, n, 1])) else {
+        // Unreachable: `validate` fixed every window's shape at submit.
+        let msg = "request windows differ in shape";
+        return fail_all(live, || ServeError::Internal(msg.to_string()));
     };
 
     d2stgnn_obsv::record!(batch_span, batch_size = b);
@@ -670,29 +651,28 @@ fn process_batch(
 
     // Fan the rows back out, de-normalized.
     let _post_span = d2stgnn_obsv::span!("d2stgnn_serve_postprocess", batch_size = b);
+    let out = scaler.inverse_transform(&out);
     for (bi, p) in live.into_iter().enumerate() {
         let row_start = Instant::now();
-        let mut values = Array::zeros(&[tf, n]);
-        for t in 0..tf {
-            for i in 0..n {
-                values.set(
-                    &[t, i],
-                    out.at(&[bi, t, i, 0]) * scaler.std() + scaler.mean(),
-                );
-            }
-        }
         p.request.trace.stage("forward", forward_wait);
-        if values.has_non_finite() {
-            shared.stats.forward_failures.add(1);
-            degrade(
-                shared,
-                fallback.as_deref(),
-                &version,
-                p,
-                ServeError::Internal("forward gave a non-finite forecast".to_string()),
-            );
-            continue;
-        }
+        let values = match out.slice_axis(0, bi, bi + 1).reshape(&[tf, n]) {
+            Ok(values) if !values.has_non_finite() => values,
+            bad => {
+                let reason = match bad {
+                    Ok(_) => "forward gave a non-finite forecast".to_string(),
+                    Err(e) => format!("forward gave a malformed forecast: {e}"),
+                };
+                shared.stats.forward_failures.add(1);
+                degrade(
+                    shared,
+                    fallback.as_deref(),
+                    &version,
+                    p,
+                    ServeError::Internal(reason),
+                );
+                continue;
+            }
+        };
         p.request.trace.stage("postprocess", row_start.elapsed());
         shared
             .stats

@@ -140,6 +140,43 @@ fn batched_forward_is_bit_identical_to_sequential() {
     server.shutdown().expect("clean shutdown");
 }
 
+/// The bits of one fused micro-batch on the tiny profile are pinned: the
+/// worker's batch stacking, normalization and de-normalized split must not
+/// move a bit of a served forecast.
+#[test]
+fn fused_batch_forecast_bits_are_pinned() {
+    let data = WindowedDataset::new(simulate(&SimulatorConfig::tiny()), 12, 12, (0.6, 0.2, 0.2));
+    let registry = Arc::new(ModelRegistry::new());
+    register(&registry, &data, "d2stgnn", 7);
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServeConfig {
+            workers: 1,
+            max_batch: 8,
+            max_wait: Duration::from_secs(5),
+            queue_capacity: 64,
+        },
+    )
+    .expect("start server");
+    let handles: Vec<_> = (0..8)
+        .map(|w| {
+            server
+                .submit(request_for(&data, Split::Test, w, "d2stgnn"))
+                .unwrap()
+        })
+        .collect();
+    let forecasts: Vec<Array> = handles
+        .into_iter()
+        .map(|h| h.wait().unwrap().values)
+        .collect();
+    assert_eq!(server.stats().batches, 1, "expected one fused micro-batch");
+    assert_eq!(
+        format!("{:016x}", checkpoint::params_checksum(&forecasts)),
+        "ef72c65174271795"
+    );
+    server.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn latency_percentiles_populate_and_stay_ordered() {
     let data = dataset();
@@ -413,6 +450,8 @@ fn out_of_range_tod_and_non_finite_windows_are_rejected_and_the_worker_survives(
 enum Fault {
     Panic,
     NonFinite,
+    /// A forecast one step long instead of `T_f`.
+    ShortHorizon,
 }
 
 /// The time-of-day slot that sets a [`Faulty`] model off.
@@ -486,6 +525,7 @@ impl TrafficModel for Faulty {
         match self.fault {
             Fault::Panic => panic!("injected forward fault at tod slot {FAULT_SLOT}"),
             Fault::NonFinite => Tensor::constant(Array::full(&out.shape(), f32::NAN)),
+            Fault::ShortHorizon => out.slice_axis(1, 0, 1),
         }
     }
 
@@ -505,7 +545,7 @@ impl TrafficModel for Faulty {
 #[test]
 fn a_failed_forward_is_answered_and_the_worker_survives() {
     let data = dataset();
-    for fault in [Fault::Panic, Fault::NonFinite] {
+    for fault in [Fault::Panic, Fault::NonFinite, Fault::ShortHorizon] {
         for with_fallback in [false, true] {
             let registry = Arc::new(ModelRegistry::new());
             let cfg = model_config(data.num_nodes());

@@ -17,7 +17,7 @@ use crate::buffers::{self, Buffer};
 use crate::error::TensorError;
 use crate::gemm;
 use crate::pool;
-use crate::shape::{broadcast_shapes, broadcast_strides, check_axis, numel, ravel, strides_for};
+use crate::shape::{broadcast_shapes, broadcast_strides, check_axis, numel, strides_for};
 use rand::distributions::Distribution;
 use rand::Rng;
 use serde::de::Error as _;
@@ -253,16 +253,30 @@ impl Array {
 
     /// Element at multi-dimensional coordinates. Panics if out of range.
     pub fn at(&self, coords: &[usize]) -> f32 {
-        debug_assert_eq!(coords.len(), self.rank());
-        let strides = strides_for(&self.shape);
-        self.data[ravel(coords, &strides)]
+        self.data[self.flat_index(coords)]
     }
 
-    /// Set element at multi-dimensional coordinates.
+    /// Set element at multi-dimensional coordinates. Panics if out of range.
     pub fn set(&mut self, coords: &[usize], value: f32) {
-        let strides = strides_for(&self.shape);
-        let idx = ravel(coords, &strides);
+        let idx = self.flat_index(coords);
         self.data_mut()[idx] = value;
+    }
+
+    /// Row-major offset of `coords`. Fails through the crate's panic funnel
+    /// unless there is one coordinate per axis and each lies inside its axis.
+    fn flat_index(&self, coords: &[usize]) -> usize {
+        let inside =
+            coords.len() == self.rank() && coords.iter().zip(&self.shape).all(|(c, d)| c < d);
+        if !inside {
+            crate::error::violation(format_args!(
+                "coordinates {coords:?} out of range for shape {:?}",
+                self.shape
+            ));
+        }
+        coords
+            .iter()
+            .zip(&self.shape)
+            .fold(0, |idx, (c, d)| idx * d + c)
     }
 
     /// Value of a single-element array.
@@ -1176,6 +1190,19 @@ mod tests {
         let a = arr(&[2, 3], &[0.; 6]);
         let b = arr(&[2, 4], &[0.; 8]);
         let _ = a.add(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn at_rejects_a_coordinate_past_its_axis() {
+        // Flat offset 4 is inside the data; coordinate 4 is not inside axis 1.
+        Array::zeros(&[2, 3]).at(&[0, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_rejects_too_few_coordinates() {
+        Array::zeros(&[2, 3]).set(&[1], 1.0);
     }
 
     #[test]
