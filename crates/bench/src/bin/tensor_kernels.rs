@@ -15,8 +15,12 @@
 //!   `parallel_speedup = simd_serial_ms / pooled_ms` is the residual gain
 //!   from pool threads alone (≈1.0 on a single-core container).
 //!
+//! `model` rows time the matmul shapes the paper-size model runs (see
+//! [`MODEL_SHAPES`]) the same way, with the tiled kernel as their `serial_ms`.
+//!
 //! Writes `target/experiments/BENCH_tensor_kernels.json` (schema
-//! `d2stgnn-bench-v1`). `--fast` runs fewer, smaller shapes for the CI smoke.
+//! `d2stgnn-bench-v1`). `--fast` runs fewer, smaller square shapes for the
+//! CI smoke; the model shapes are the same in both modes.
 
 use std::process::Command;
 use std::time::Instant;
@@ -138,7 +142,20 @@ fn shapes(fast: bool) -> (&'static [usize], (usize, usize)) {
     }
 }
 
-/// Child entry point: measure every GEMM/bmm shape under this process's
+/// `(lhs, rhs)` of the matmuls that dominate a training step of the
+/// paper-size model (207 sensors, batch 4, hidden 32): the `[9936,32]`
+/// linear layers, the per-window grouped Eq. 8 product, the adaptive-matrix
+/// arm, and the inherent block's two attention pages. Their rows are
+/// labelled `model`, so the square `gemm` rows alone carry CI's floors.
+const MODEL_SHAPES: [(&[usize], &[usize]); 5] = [
+    (&[9936, 32], &[32, 32]),
+    (&[4, 207, 207], &[48, 207, 32]),
+    (&[207, 207], &[48, 207, 32]),
+    (&[3312, 12, 12], &[3312, 12, 8]),
+    (&[3312, 12, 8], &[3312, 8, 12]),
+];
+
+/// Child entry point: measure every GEMM/bmm/model shape under this process's
 /// (threads, simd) environment and write the results as JSON.
 fn run_child(out_path: &str, fast: bool, reps: usize) {
     let naive_too = std::env::var_os(NAIVE_ENV).is_some();
@@ -177,6 +194,24 @@ fn run_child(out_path: &str, fast: bool, reps: usize) {
         tiled_ms,
         pooled_ms,
     });
+    for (i, &(lhs, rhs)) in MODEL_SHAPES.iter().enumerate() {
+        let a = arr(lhs, 20 + 2 * i as u32);
+        let b = arr(rhs, 21 + 2 * i as u32);
+        let tiled_ms = time_best(reps, &mut sink, || pool::with_serial(|| a.matmul(&b)));
+        let pooled_ms = time_best(reps, &mut sink, || a.matmul(&b));
+        // The output has the wider operand's batch of `[m,n]` pages.
+        let (m, k, n) = (lhs[lhs.len() - 2], lhs[lhs.len() - 1], rhs[rhs.len() - 1]);
+        let pages = |s: &[usize]| s[..s.len() - 2].iter().product::<usize>();
+        let macs = pages(lhs).max(pages(rhs)) * m * k * n;
+        rows.push(ChildRow {
+            kind: "model".into(),
+            shape: format!("{lhs:?}x{rhs:?}").replace(' ', ""),
+            flops: 2 * macs as u64,
+            naive_ms: 0.0,
+            tiled_ms,
+            pooled_ms,
+        });
+    }
     let out = ChildOut {
         threads: pool::threads(),
         simd: simd::kernel_name().to_string(),
@@ -288,8 +323,8 @@ fn main() {
         for (i, r) in child.rows.iter().enumerate() {
             let base = &scalar.rows[i];
             let simd_serial_ms = pooled[0].rows[i].tiled_ms;
-            // bmm has no seed-naive reference; its `speedup` is measured
-            // against the tiled-scalar serial kernel instead.
+            // bmm and model rows have no seed-naive reference; their
+            // `speedup` is measured against the tiled-scalar serial kernel.
             let serial_ms = if base.naive_ms > 0.0 {
                 base.naive_ms
             } else {
@@ -323,7 +358,7 @@ fn main() {
     }
 
     println!(
-        "{:<9} {:>12} {:>3} {:>10} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8}",
+        "{:<9} {:>25} {:>3} {:>10} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8}",
         "kernel",
         "shape",
         "t",
@@ -337,12 +372,12 @@ fn main() {
         "par_x"
     );
     println!(
-        "{:<9} {:>12} {:>3} {:>10} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8}",
+        "{:<9} {:>25} {:>3} {:>10} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8}",
         "", "", "", "", "ms", "ms", "ms", "ms", "", "", ""
     );
     for r in &rows {
         println!(
-            "{:<9} {:>12} {:>3} {:>10} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7.2}x {:>7.2}x {:>7.2}x",
+            "{:<9} {:>25} {:>3} {:>10} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7.2}x {:>7.2}x {:>7.2}x",
             r.kernel,
             r.shape,
             r.threads,

@@ -629,11 +629,22 @@ fn process_batch(
     let forward_wait = forward_start.elapsed();
     shared.stats.batch_done(b);
     let out = match out {
-        Ok(out) => out,
-        Err(payload) => {
-            // The replica may have been left mid-update; rebuild it next batch.
-            cache.remove(version.name());
-            let reason = format!("forward panicked: {}", panic_message(payload.as_ref()));
+        Ok(out) if out.shape() == [b, tf, n, 1] => out,
+        bad => {
+            let reason = match bad {
+                // Checked once here, so splitting the rows below cannot panic.
+                Ok(out) => format!(
+                    "forward gave a malformed forecast: shape {:?}, expected {:?}",
+                    out.shape(),
+                    [b, tf, n, 1]
+                ),
+                Err(payload) => {
+                    // The replica may have been left mid-update; rebuild it
+                    // next batch.
+                    cache.remove(version.name());
+                    format!("forward panicked: {}", panic_message(payload.as_ref()))
+                }
+            };
             for p in live {
                 p.request.trace.stage("forward", forward_wait);
                 shared.stats.forward_failures.add(1);

@@ -452,6 +452,8 @@ enum Fault {
     NonFinite,
     /// A forecast one step long instead of `T_f`.
     ShortHorizon,
+    /// A forecast with one batch row too few.
+    MissingRow,
 }
 
 /// The time-of-day slot that sets a [`Faulty`] model off.
@@ -526,6 +528,7 @@ impl TrafficModel for Faulty {
             Fault::Panic => panic!("injected forward fault at tod slot {FAULT_SLOT}"),
             Fault::NonFinite => Tensor::constant(Array::full(&out.shape(), f32::NAN)),
             Fault::ShortHorizon => out.slice_axis(1, 0, 1),
+            Fault::MissingRow => out.slice_axis(0, 0, out.shape()[0] - 1),
         }
     }
 
@@ -545,7 +548,12 @@ impl TrafficModel for Faulty {
 #[test]
 fn a_failed_forward_is_answered_and_the_worker_survives() {
     let data = dataset();
-    for fault in [Fault::Panic, Fault::NonFinite, Fault::ShortHorizon] {
+    for fault in [
+        Fault::Panic,
+        Fault::NonFinite,
+        Fault::ShortHorizon,
+        Fault::MissingRow,
+    ] {
         for with_fallback in [false, true] {
             let registry = Arc::new(ModelRegistry::new());
             let cfg = model_config(data.num_nodes());

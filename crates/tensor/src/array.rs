@@ -376,7 +376,7 @@ impl Array {
 
     /// Pooled `map`: above the parallel threshold the named kernel runs in
     /// fixed chunks on the compute pool; otherwise (and with identical
-    /// arithmetic) serially.
+    /// arithmetic) through [`Array::map`], which skips the pool's zero pass.
     pub(crate) fn map_op(&self, kind: UnaryKind) -> Self {
         let n = self.numel();
         if pool::should_pool(n) {
@@ -384,6 +384,7 @@ impl Array {
             let data = pool::run_chunked(
                 n,
                 ELEM_CHUNK,
+                n,
                 Arc::new(move |start: usize, out: &mut [f32]| {
                     for (o, &v) in out.iter_mut().zip(&src[start..]) {
                         *o = kind.apply(v);
@@ -444,6 +445,7 @@ impl Array {
                 let data = pool::run_chunked(
                     n,
                     ELEM_CHUNK,
+                    n,
                     Arc::new(move |start: usize, out: &mut [f32]| {
                         for ((o, &x), &y) in out.iter_mut().zip(&a[start..]).zip(&b[start..]) {
                             *o = kind.apply(x, y);
@@ -522,10 +524,9 @@ impl Array {
 
     /// Sum along `axis`. If `keepdim`, the axis remains with size 1.
     ///
-    /// Pooled above the threshold by chunking the output space on whole
-    /// outer-row boundaries; each output element still accumulates its
-    /// `mid` terms in ascending order, so pooled and serial results are
-    /// bit-identical.
+    /// Chunked on whole outer-row boundaries; each output element
+    /// accumulates its `mid` terms in ascending order, so pooled and inline
+    /// results are bit-identical.
     pub fn sum_axis(&self, axis: usize, keepdim: bool) -> Self {
         crate::error::require(check_axis(axis, self.rank()), "sum_axis");
         let mut out_shape = self.shape.clone();
@@ -534,41 +535,38 @@ impl Array {
         let mid = self.shape[axis];
         let inner: usize = self.shape[axis + 1..].iter().product();
         let out_len = outer * inner;
-        let data = if pool::should_pool(out_len.saturating_mul(mid)) {
-            let src = self.data.clone();
-            // Chunks are whole multiples of `inner` (a function of the
-            // problem shape only), so every chunk covers complete output
-            // rows and the serial accumulation loop applies verbatim.
-            let chunk = inner * (ELEM_CHUNK / inner).max(1);
-            pool::run_chunked(
-                out_len,
-                chunk,
-                Arc::new(move |start: usize, out: &mut [f32]| {
-                    let o0 = start / inner;
-                    for (oi, orow) in out.chunks_mut(inner).enumerate() {
-                        let o = o0 + oi;
-                        for m in 0..mid {
-                            let base = (o * mid + m) * inner;
-                            for (slot, &v) in orow.iter_mut().zip(&src[base..base + inner]) {
-                                *slot += v;
+        let src = self.data.clone();
+        // Chunks are whole multiples of `inner` (a function of the problem
+        // shape only), so every chunk covers complete output rows. With
+        // `inner == 0` the output is empty and no chunk runs.
+        let chunk = inner * (ELEM_CHUNK / inner.max(1)).max(1);
+        let data = pool::run_chunked(
+            out_len,
+            chunk,
+            out_len.saturating_mul(mid),
+            Arc::new(move |start: usize, out: &mut [f32]| {
+                let o0 = start / inner;
+                let block = mid * inner;
+                for (oi, orow) in out.chunks_mut(inner).enumerate() {
+                    // Each output row adds up the `mid` rows of its own
+                    // contiguous block of `src`, in ascending order.
+                    let b0 = (o0 + oi) * block;
+                    let terms = &src[b0..b0 + block];
+                    match orow {
+                        // One output per row, as in a last-axis sum: one
+                        // fold, the same adds without a loop per term.
+                        [slot] => terms.iter().for_each(|&v| *slot += v),
+                        _ => {
+                            for term in terms.chunks_exact(inner) {
+                                for (slot, &v) in orow.iter_mut().zip(term) {
+                                    *slot += v;
+                                }
                             }
                         }
                     }
-                }),
-            )
-        } else {
-            let mut data = Buffer::zeroed(out_len);
-            for o in 0..outer {
-                for m in 0..mid {
-                    let base = (o * mid + m) * inner;
-                    let obase = o * inner;
-                    for i in 0..inner {
-                        data[obase + i] += self.data[base + i];
-                    }
                 }
-            }
-            data
-        };
+            }),
+        );
         if !keepdim {
             out_shape.remove(axis);
         }
@@ -643,28 +641,26 @@ impl Array {
     /// Supports `[m,k] x [k,n]`, mixed `[b,m,k] x [k,n]` / `[m,k] x [b,k,n]`
     /// (the rank-2 side is broadcast across the batch), and grouped
     /// `[g,m,k] x [g·t,k,n]`, where lhs page `i` multiplies rhs pages
-    /// `i·t .. (i+1)·t`; `t = 1` is the plain batched product. Large
-    /// problems run as a tiled GEMM on the compute pool; results are
-    /// bit-identical to the serial kernel.
+    /// `i·t .. (i+1)·t`; `t = 1` is the plain batched product. Every form
+    /// is one tiled batched GEMM, spread over the compute pool when large;
+    /// results are bit-identical at any thread count.
     pub fn matmul(&self, other: &Self) -> Self {
         match (self.rank(), other.rank()) {
-            (2, 2) => self.matmul2(other),
-            (3, 2) => {
-                let b = self.shape[0];
-                let (m, k) = (self.shape[1], self.shape[2]);
+            (2 | 3, 2) => {
+                // `[m,k] x [k,n]` and `[b,m,k] x [k,n]` are row-wise one
+                // `[rows,k] x [k,n]` page; the leading dims come back as is.
+                let (lead, last) = self.shape.split_at(self.rank() - 1);
+                let k = last[0];
                 assert_eq!(
                     k, other.shape[0],
                     "matmul: inner dims {k} vs {}",
                     other.shape[0]
                 );
                 let n = other.shape[1];
-                // [b,m,k] x [k,n] is row-wise identical to [b·m,k] x [k,n]:
-                // reshape (O(1), shared storage), multiply, reshape back.
-                let flat = crate::error::require(self.reshape(&[b * m, k]), "matmul");
-                let out = flat.matmul2(other);
+                let page = self.matmul_batched(other, 1, 1, lead.iter().product(), k, n);
                 Self {
-                    shape: vec![b, m, n],
-                    data: out.data,
+                    shape: [lead, &[n]].concat(),
+                    data: page.data,
                 }
             }
             (2, 3) => {
@@ -722,42 +718,11 @@ impl Array {
         Self::from_parts(vec![m, n], data)
     }
 
-    fn matmul2(&self, other: &Self) -> Self {
-        let (m, k) = (self.shape[0], self.shape[1]);
-        assert_eq!(
-            k, other.shape[0],
-            "matmul: inner dims {k} vs {}",
-            other.shape[0]
-        );
-        let n = other.shape[1];
-        let packed = gemm::pack_b(&other.data, k, n);
-        if pool::should_pool(m.saturating_mul(n).saturating_mul(k)) && m > gemm::ROW_CHUNK {
-            let a = self.data.clone();
-            let packed = Arc::new(Buffer::from_vec(packed));
-            let data = pool::run_chunked(
-                m * n,
-                gemm::ROW_CHUNK * n,
-                Arc::new(move |start: usize, out: &mut [f32]| {
-                    let i0 = start / n;
-                    let rows = out.len() / n;
-                    gemm::block(&a[i0 * k..(i0 + rows) * k], k, &packed, n, out);
-                }),
-            );
-            Self::from_buffer(vec![m, n], data)
-        } else {
-            let mut data = Buffer::zeroed(m * n);
-            gemm::block(&self.data, k, &packed, n, &mut data);
-            buffers::release(packed);
-            Self::from_buffer(vec![m, n], data)
-        }
-    }
-
     /// Batched matmul pooled over the combined batch × row-panel space.
-    /// `other` is `[b,k,n]` (the `[b,m,k] x [k,n]` case reduces to a single
-    /// rank-2 multiply) and `self` holds `b / group` pages of `[m,k]`:
+    /// `other` is `[b,k,n]` and `self` holds `b / group` pages of `[m,k]`:
     /// output page `i` multiplies lhs page `i / group` by rhs page `i`. So
-    /// `group == 1` is `[b,m,k] x [b,k,n]` and `group == b` is one `[m,k]`
-    /// shared across the batch.
+    /// `group == 1` is `[b,m,k] x [b,k,n]` (at `b == 1`, the 2-D product)
+    /// and `group == b` is one `[m,k]` shared across the batch.
     ///
     /// Every batch element's B page is packed once up front (the packed
     /// layout is `k*n` floats per element, see [`gemm::pack_b_all`]), then
@@ -776,55 +741,38 @@ impl Array {
         n: usize,
     ) -> Self {
         let lhs_page = move |bi: usize| bi.checked_div(group).unwrap_or(0) * m * k;
-        let shape = vec![b, m, n];
         let flops = b.saturating_mul(m).saturating_mul(k).saturating_mul(n);
-        let packed = gemm::pack_b_all(&other.data, b, k, n);
-        if pool::should_pool(flops) && b * m > gemm::ROW_CHUNK {
-            let a = self.data.clone();
-            let packed = Arc::new(Buffer::from_vec(packed));
-            let data = pool::run_chunked(
-                b * m * n,
-                gemm::ROW_CHUNK * n,
-                Arc::new(move |start: usize, out: &mut [f32]| {
-                    // A chunk may span a batch boundary; walk it one batch
-                    // element at a time. `out.len()` is always a multiple
-                    // of `n` (chunk and total both are).
-                    let mut start = start;
-                    let mut rest = out;
-                    while !rest.is_empty() {
-                        let bi = start / (m * n);
-                        let i0 = (start - bi * m * n) / n;
-                        let rows = ((m - i0) * n).min(rest.len()) / n;
-                        let page = lhs_page(bi);
-                        let (chunk_out, tail) = std::mem::take(&mut rest).split_at_mut(rows * n);
-                        gemm::block(
-                            &a[page + i0 * k..page + (i0 + rows) * k],
-                            k,
-                            &packed[bi * k * n..(bi + 1) * k * n],
-                            n,
-                            chunk_out,
-                        );
-                        start += rows * n;
-                        rest = tail;
-                    }
-                }),
-            );
-            Self::from_buffer(shape, data)
-        } else {
-            let mut data = Buffer::zeroed(b * m * n);
-            for bi in 0..b {
-                let page = lhs_page(bi);
-                gemm::block(
-                    &self.data[page..page + m * k],
-                    k,
-                    &packed[bi * k * n..(bi + 1) * k * n],
-                    n,
-                    &mut data[bi * m * n..(bi + 1) * m * n],
-                );
-            }
-            buffers::release(packed);
-            Self::from_buffer(shape, data)
-        }
+        let a = self.data.clone();
+        let packed = Buffer::from_vec(gemm::pack_b_all(&other.data, b, k, n));
+        let data = pool::run_chunked(
+            b * m * n,
+            gemm::ROW_CHUNK * n,
+            flops,
+            Arc::new(move |start: usize, out: &mut [f32]| {
+                // A chunk may span a batch boundary; walk it one batch
+                // element at a time. `out.len()` is always a multiple of
+                // `n` (chunk and total both are).
+                let mut start = start;
+                let mut rest = out;
+                while !rest.is_empty() {
+                    let bi = start / (m * n);
+                    let i0 = (start - bi * m * n) / n;
+                    let rows = ((m - i0) * n).min(rest.len()) / n;
+                    let page = lhs_page(bi);
+                    let (chunk_out, tail) = std::mem::take(&mut rest).split_at_mut(rows * n);
+                    gemm::block(
+                        &a[page + i0 * k..page + (i0 + rows) * k],
+                        k,
+                        &packed[bi * k * n..(bi + 1) * k * n],
+                        n,
+                        chunk_out,
+                    );
+                    start += rows * n;
+                    rest = tail;
+                }
+            }),
+        );
+        Self::from_buffer(vec![b, m, n], data)
     }
 
     // ------------------------------------------------------------------

@@ -28,29 +28,15 @@ pub(crate) const NR: usize = 16;
 /// boundaries, and hence results, are independent of parallelism.
 pub(crate) const ROW_CHUNK: usize = 16;
 
-/// Pack a row-major `k`×`n` matrix into `NR`-wide column panels.
+/// Pack every row-major `k`×`n` page of a batched `[batches, k, n]`
+/// matrix into `NR`-wide column panels.
 ///
-/// Panel `jt` holds columns `jt*NR .. jt*NR + w` (`w = min(NR, n - jt*NR)`)
-/// at offset `jt * k * NR`, laid out row-major within the panel
-/// (`panel[p * w + j]`), so the micro-kernel streams it contiguously.
-pub(crate) fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let n_panels = n.div_ceil(NR).max(1);
-    let mut packed = crate::buffers::acquire_with_capacity(n_panels * k * NR);
-    for jt in 0..n_panels {
-        let j0 = jt * NR;
-        let w = NR.min(n - j0);
-        for p in 0..k {
-            packed.extend_from_slice(&b[p * n + j0..p * n + j0 + w]);
-        }
-    }
-    packed
-}
-
-/// Pack every `k`×`n` page of a batched `[batches, k, n]` matrix, each laid
-/// out exactly as [`pack_b`] would (all-but-last panels full, so panel `jt`
-/// of element `bi` sits at `bi * k * n + jt * k * NR`). Batched matmul packs
-/// all pages once up front so pooled workers share read-only panels instead
-/// of re-packing per chunk.
+/// Panel `jt` of page `bi` holds columns `jt*NR .. jt*NR + w`
+/// (`w = min(NR, n - jt*NR)`) at offset `bi * k * n + jt * k * NR` (all but
+/// the last panel are full), laid out row-major within the panel
+/// (`panel[p * w + j]`), so the micro-kernel streams it contiguously. A 2-D
+/// `B` is one page. Matmul packs all pages once up front so pooled workers
+/// share read-only panels instead of re-packing per chunk.
 pub(crate) fn pack_b_all(b: &[f32], batches: usize, k: usize, n: usize) -> Vec<f32> {
     let n_panels = n.div_ceil(NR).max(1);
     let mut packed = crate::buffers::acquire_with_capacity(batches * n_panels * k * NR);
@@ -201,7 +187,7 @@ mod tests {
             let b = pseudo(2, k * n);
             let mut want = vec![0.0; m * n];
             naive(&a, &b, &mut want, m, k, n);
-            let packed = pack_b(&b, k, n);
+            let packed = pack_b_all(&b, 1, k, n);
             let mut got = vec![0.0; m * n];
             block(&a, k, &packed, n, &mut got);
             let same = want.iter().zip(&got).all(|(x, y)| x == y);
@@ -214,7 +200,7 @@ mod tests {
         let (m, k, n) = (11, 9, 21);
         let a = pseudo(3, m * k);
         let b = pseudo(4, k * n);
-        let packed = pack_b(&b, k, n);
+        let packed = pack_b_all(&b, 1, k, n);
         let mut whole = vec![0.0; m * n];
         block(&a, k, &packed, n, &mut whole);
         let mut split = vec![0.0; m * n];

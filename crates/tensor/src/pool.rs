@@ -12,10 +12,11 @@
 //! **Determinism contract.** Work is split into chunks whose boundaries are
 //! a function of the problem size only — never of the thread count or of
 //! which thread claims which chunk — and every output element is computed
-//! by exactly the same arithmetic (same order, same operations) as the
-//! serial kernel. Results are therefore bit-identical across
-//! `D2_THREADS` ∈ {1, 2, 8, ...} and with [`with_serial`]; the serve
-//! crate's bit-identical batching guarantee survives pooling unchanged.
+//! by exactly the same arithmetic (same order, same operations) as when
+//! the kernel runs inline over the whole output. Results are therefore
+//! bit-identical across `D2_THREADS` ∈ {1, 2, 8, ...} and with
+//! [`with_serial`]; the serve crate's bit-identical batching guarantee
+//! survives pooling unchanged.
 //!
 //! Configuration (each read once per process):
 //! * `D2_THREADS` — pool parallelism including the caller; defaults to
@@ -157,9 +158,9 @@ pub fn par_threshold() -> usize {
     *T.get_or_init(|| env_usize("D2_PAR_THRESHOLD").unwrap_or(DEFAULT_PAR_THRESHOLD))
 }
 
-/// Run `f` with pooled dispatch disabled on this thread: every kernel takes
-/// its serial path. Used by benchmarks and determinism tests to obtain the
-/// serial reference; results are bit-identical either way.
+/// Run `f` with pooled dispatch disabled on this thread: every kernel runs
+/// inline on the caller. Used by benchmarks and determinism tests to obtain
+/// the serial reference; results are bit-identical either way.
 pub fn with_serial<R>(f: impl FnOnce() -> R) -> R {
     let prev = SERIAL.with(|s| s.replace(true));
     let out = f();
@@ -167,7 +168,7 @@ pub fn with_serial<R>(f: impl FnOnce() -> R) -> R {
     out
 }
 
-pub(crate) fn serial_mode() -> bool {
+fn serial_mode() -> bool {
     SERIAL.with(Cell::get)
 }
 
@@ -203,24 +204,27 @@ fn workers() -> Option<&'static WorkerPool> {
 
 /// Fill a `len`-element output buffer in chunks of `chunk` elements
 /// (boundaries depend only on `len` and `chunk`), farming chunks out to the
-/// pool when available. The calling thread participates — it writes its
-/// chunks directly into the output, while worker chunks land in pooled
-/// scratch buffers and are stitched in afterwards.
-pub(crate) fn run_chunked(len: usize, chunk: usize, fill: Arc<FillFn>) -> Buffer {
-    let chunk = chunk.max(1);
-    let n_chunks = len.div_ceil(chunk).max(1);
+/// pool. This is the one place that decides between pooled and inline:
+/// when [`should_pool`] says `work` scalar ops are too few, or the output
+/// is a single chunk, `fill(0, whole output)` runs once on the calling
+/// thread. Otherwise the caller participates — it writes its chunks
+/// directly into the output, while worker chunks land in pooled scratch
+/// buffers and are stitched in afterwards. Every `fill` must therefore
+/// compute each element the same way whatever range it is handed.
+pub(crate) fn run_chunked(len: usize, chunk: usize, work: usize, fill: Arc<FillFn>) -> Buffer {
     let mut out = Buffer::zeroed(len);
-    let pool = if serial_mode() || n_chunks == 1 {
-        None
-    } else {
+    if len == 0 {
+        return out;
+    }
+    let chunk = chunk.max(1);
+    let n_chunks = len.div_ceil(chunk);
+    let pool = if should_pool(work) && n_chunks > 1 {
         workers()
+    } else {
+        None
     };
     let Some(pool) = pool else {
-        for c in 0..n_chunks {
-            let s = c * chunk;
-            let e = (s + chunk).min(len);
-            fill(s, &mut out[s..e]);
-        }
+        fill(0, &mut out);
         return out;
     };
 
@@ -367,8 +371,8 @@ mod tests {
     #[test]
     fn run_chunked_matches_serial_fill() {
         let len = 10_007; // deliberately not a multiple of the chunk size
-        let pooled = run_chunked(len, 256, iota_fill());
-        let serial = with_serial(|| run_chunked(len, 256, iota_fill()));
+        let pooled = run_chunked(len, 256, usize::MAX, iota_fill());
+        let serial = with_serial(|| run_chunked(len, 256, usize::MAX, iota_fill()));
         assert_eq!(&pooled[..], &serial[..]);
         assert_eq!(pooled.len(), len);
     }
@@ -376,7 +380,7 @@ mod tests {
     #[test]
     fn single_chunk_runs_inline() {
         let t0 = TASKS.load(Ordering::Relaxed);
-        let out = run_chunked(64, 1024, iota_fill());
+        let out = run_chunked(64, 1024, usize::MAX, iota_fill());
         assert_eq!(out.len(), 64);
         assert_eq!(
             TASKS.load(Ordering::Relaxed),

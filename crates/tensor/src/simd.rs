@@ -240,7 +240,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{block_scalar, pack_b};
+    use crate::gemm::{block_scalar, pack_b_all};
 
     fn pseudo(seed: u32, len: usize) -> Vec<f32> {
         (0..len)
@@ -276,7 +276,7 @@ mod tests {
         ] {
             let a = pseudo(1, m * k);
             let b = pseudo(2, k * n);
-            let packed = pack_b(&b, k, n);
+            let packed = pack_b_all(&b, 1, k, n);
             let mut want = vec![0.0f32; m * n];
             block_scalar(&a, k, &packed, n, &mut want);
             let mut got = vec![0.0f32; m * n];

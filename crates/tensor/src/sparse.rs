@@ -12,7 +12,7 @@
 //! size only ([`SPMM_ROW_CHUNK`] output rows per chunk — a fixed constant,
 //! never derived from the thread count), a chunk never splits an output
 //! row, and each output element accumulates its row's non-zeros in CSR
-//! (column-ascending) order exactly as the serial loop does. Results are
+//! (column-ascending) order however the rows are chunked. Results are
 //! therefore bit-identical across `D2_THREADS` ∈ {1, 2, 8, ...} and with
 //! [`crate::pool::with_serial`].
 //!
@@ -357,9 +357,9 @@ impl CsrMatrix {
     }
 
     /// Sparse × dense: `[r, k] × [k, m] -> [r, m]`, or batched
-    /// `[r, k] × [B, k, m] -> [B, r, m]`. Large products run on the compute
-    /// pool in fixed row panels; results are bit-identical to the serial
-    /// loop at any `D2_THREADS`.
+    /// `[r, k] × [B, k, m] -> [B, r, m]`, filled in fixed row panels that
+    /// large products spread over the compute pool; results are
+    /// bit-identical at any `D2_THREADS`.
     pub fn try_matmul(&self, dense: &Array) -> Result<Array, TensorError> {
         let shape = dense.shape();
         let mismatch = || TensorError::ShapeMismatch {
@@ -383,36 +383,20 @@ impl CsrMatrix {
             _ => return Err(mismatch()),
         };
 
-        let total = b * self.rows * m;
-        let work = b.saturating_mul(self.nnz()).saturating_mul(m);
-        if pool::should_pool(work) && b * self.rows > SPMM_ROW_CHUNK {
-            let s = self.clone();
-            let x = dense.clone();
-            let data = pool::run_chunked(
-                total,
-                SPMM_ROW_CHUNK * m,
-                Arc::new(move |start: usize, out: &mut [f32]| {
-                    s.fill_rows(x.data(), start, out, m);
-                }),
-            );
-            Ok(require(
-                Array::from_vec(&out_shape, data.into_vec()),
-                "spmm output shape",
-            ))
-        } else {
-            let mut out = Array::zeros(&out_shape);
-            let page_in = self.cols * m;
-            let page_out = self.rows * m;
-            for bi in 0..b {
-                self.fill_page(
-                    &dense.data()[bi * page_in..(bi + 1) * page_in],
-                    &mut out.data_mut()[bi * page_out..(bi + 1) * page_out],
-                    0,
-                    m,
-                );
-            }
-            Ok(out)
-        }
+        let s = self.clone();
+        let x = dense.clone();
+        let data = pool::run_chunked(
+            b * self.rows * m,
+            SPMM_ROW_CHUNK * m,
+            b.saturating_mul(self.nnz()).saturating_mul(m),
+            Arc::new(move |start: usize, out: &mut [f32]| {
+                s.fill_rows(x.data(), start, out, m);
+            }),
+        );
+        Ok(require(
+            Array::from_vec(&out_shape, data.into_vec()),
+            "spmm output shape",
+        ))
     }
 
     /// [`Self::try_matmul`] with the hot-path panic-on-shape-bug contract
@@ -443,8 +427,8 @@ impl CsrMatrix {
 
     /// Accumulate rows `r0..r0 + out.len() / m` of `self · dense` into
     /// `out` (zero-filled on entry) for one batch page. Each output row
-    /// visits its non-zeros in CSR (column-ascending) order — the exact
-    /// accumulation order of the serial kernel, regardless of chunking.
+    /// visits its non-zeros in CSR (column-ascending) order, the same
+    /// accumulation order however the rows are chunked.
     fn fill_page(&self, dense: &[f32], out: &mut [f32], r0: usize, m: usize) {
         for (ri, out_row) in out.chunks_exact_mut(m).enumerate() {
             let r = r0 + ri;

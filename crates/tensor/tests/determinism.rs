@@ -117,6 +117,17 @@ fn to_bytes(values: &[f32]) -> Vec<u8> {
     values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
+/// 64-bit FNV-1a over a byte stream, as 16 hex digits (the scheme of the
+/// data crate's fingerprint tests).
+fn fnv1a(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
 /// Child entry point: gated on [`CHILD_OUT_ENV`] so it is inert in a normal
 /// test run. Under a forced-pool environment it also cross-checks the pooled
 /// workload against `pool::with_serial` and the reference GEMM in-process.
@@ -186,6 +197,14 @@ fn workload_is_bit_identical_across_threads_and_simd() {
         baseline.len() > 4 * 100_000,
         "workload unexpectedly small: {} bytes",
         baseline.len()
+    );
+    // Pinned bytes: the configurations below are only compared with each
+    // other, so without this a change that moved every configuration's
+    // bits together would pass.
+    assert_eq!(
+        (baseline.len(), fnv1a(&baseline).as_str()),
+        (527_100, "b9bcd068f42c3e43"),
+        "the serial scalar workload's bytes moved"
     );
 
     // Every op pools (threshold 1) at 1, 2, and 8 threads, with the SIMD

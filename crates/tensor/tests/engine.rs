@@ -8,7 +8,7 @@ use d2stgnn_tensor::nn::{
 };
 use d2stgnn_tensor::optim::{clip_grad_norm, Adam, Optimizer, Sgd};
 use d2stgnn_tensor::testing::gradcheck;
-use d2stgnn_tensor::{Array, Tensor};
+use d2stgnn_tensor::{Array, CsrMatrix, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -209,4 +209,39 @@ fn concat_then_split_roundtrip_gradients() {
     joined.slice_axis(1, 3, 8).square().sum_all().backward();
     assert_eq!(a.grad().unwrap().data(), &[0.0; 6]);
     assert!(b.grad().unwrap().data().iter().any(|v| *v != 0.0));
+}
+
+/// Asserts `out` has shape `want` and holds only zeros.
+fn assert_zeros(out: &Array, want: &[usize], case: &str) {
+    assert_eq!(out.shape(), want, "{case}");
+    assert_eq!(out.numel(), want.iter().product::<usize>(), "{case}");
+    assert!(out.data().iter().all(|&v| v == 0.0), "{case}");
+}
+
+#[test]
+fn zero_size_operands_give_zero_size_or_zero_results() {
+    // spmm by a zero-column operand: an empty product, not a panic.
+    let csr = CsrMatrix::from_dense(&Array::ones(&[3, 2]), 0.0).unwrap();
+    for (dense, want) in [(&[2, 0][..], &[3, 0][..]), (&[4, 2, 0], &[4, 3, 0])] {
+        let out = csr.try_matmul(&Array::zeros(dense)).unwrap();
+        assert_zeros(&out, want, &format!("[3,2] csr x {dense:?}"));
+    }
+
+    // Dense matmul over an empty inner or batch dim: an empty sum is 0.
+    for (lhs, rhs, want) in [
+        (&[3, 0][..], &[0, 4][..], &[3, 4][..]),
+        (&[2, 3, 0], &[0, 4], &[2, 3, 4]),
+        (&[2, 0], &[3, 0, 4], &[3, 2, 4]),
+        (&[3, 2, 0], &[3, 0, 4], &[3, 2, 4]),
+        (&[0, 2, 5], &[0, 5, 4], &[0, 2, 4]),
+    ] {
+        let out = Array::ones(lhs).matmul(&Array::ones(rhs));
+        assert_zeros(&out, want, &format!("{lhs:?} x {rhs:?}"));
+    }
+
+    // Axis sums next to and over an empty axis.
+    for (shape, want) in [(&[4, 5, 0], &[4, 0][..]), (&[4, 0, 5], &[4, 5])] {
+        let out = Array::ones(shape).sum_axis(1, false);
+        assert_zeros(&out, want, &format!("axis-1 sum of {shape:?}"));
+    }
 }
