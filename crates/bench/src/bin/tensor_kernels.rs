@@ -244,6 +244,9 @@ fn spawn_child(tag: &str, fast: bool, threads: usize, simd: &str, naive: bool) -
     let status = cmd.status().expect("spawn child");
     assert!(status.success(), "bench child `{tag}` failed");
     let json = std::fs::read_to_string(&out).expect("child output");
+    // The directory holds only this child's output, which is now read. A
+    // failed removal leaves a stray temp dir, not a wrong result.
+    let _ = std::fs::remove_dir_all(&dir);
     serde_json::from_str(&json).expect("child parse")
 }
 

@@ -237,6 +237,13 @@ impl Array {
         &self.data
     }
 
+    /// The storage this array shares with its clones and reshapes, which
+    /// the tape profiler charges once however many nodes hold it.
+    #[cfg(feature = "obsv")]
+    pub(crate) fn buffer(&self) -> &Buffer {
+        &self.data
+    }
+
     /// Flat mutable view of the contents, row-major. Copy-on-write: if the
     /// storage is shared with a clone, it is copied first.
     pub fn data_mut(&mut self) -> &mut [f32] {

@@ -6,8 +6,10 @@
 //! the system allocator: a dropped buffer parks its `Vec` on a free list
 //! keyed by capacity class and the next op of a similar size reuses it.
 //!
-//! Buckets are power-of-two capacity classes. Only allocations of at least
-//! [`MIN_POOLED_LEN`] elements participate — tiny vectors are cheaper to
+//! Buckets are power-of-two capacity classes, and a miss allocates its
+//! class's whole capacity, so a buffer goes back to the bucket it came from
+//! and serves the next request of the same size. Only allocations of at
+//! least [`MIN_POOLED_LEN`] elements participate — tiny vectors are cheaper to
 //! malloc than to funnel through a shared lock — and each bucket keeps at
 //! most [`MAX_PER_BUCKET`] vectors so idle memory stays bounded. The
 //! hit/miss/recycle counters are stored here only; [`crate::pool::stats`]
@@ -64,6 +66,14 @@ fn release_class(capacity: usize) -> Option<usize> {
     Some((class - MIN_CLASS) as usize)
 }
 
+/// The vector a miss in bucket `class` allocates: the class's whole
+/// capacity (2^class elements), so that on release it files back into the
+/// class it was requested from. Capacity that is never written is never
+/// resident.
+fn allocate_class(class: usize) -> Vec<f32> {
+    Vec::with_capacity(1 << (class as u32 + MIN_CLASS))
+}
+
 /// Fetch a zero-filled vector of exactly `len` elements, reusing pooled
 /// storage when a large-enough vector is parked.
 pub(crate) fn acquire_zeroed(len: usize) -> Vec<f32> {
@@ -100,7 +110,7 @@ fn acquire_raw(len: usize) -> Vec<f32> {
         None => {
             // relaxed: monotonic pool counter; the free lists themselves are mutex-guarded
             MISSES.fetch_add(1, Ordering::Relaxed);
-            Vec::with_capacity(len)
+            allocate_class(class)
         }
     }
 }
@@ -135,20 +145,25 @@ pub(crate) fn counters() -> (u64, u64, u64) {
 /// `Arc::make_mut` copy-on-write work for shared arrays.
 pub(crate) struct Buffer {
     data: Vec<f32>,
+    /// This buffer's charge to the tape profiler, discharged on drop.
+    #[cfg(feature = "obsv")]
+    pub(crate) charge: crate::profile::BufferCharge,
 }
 
 impl Buffer {
     /// Wrap an existing vector (no pool round-trip on the way in; the
     /// storage still recycles on drop).
     pub(crate) fn from_vec(data: Vec<f32>) -> Self {
-        Buffer { data }
+        Buffer {
+            data,
+            #[cfg(feature = "obsv")]
+            charge: Default::default(),
+        }
     }
 
     /// A zero-filled buffer of `len` elements from the pool.
     pub(crate) fn zeroed(len: usize) -> Self {
-        Buffer {
-            data: acquire_zeroed(len),
-        }
+        Buffer::from_vec(acquire_zeroed(len))
     }
 
     /// Take the storage out as a plain `Vec` (nothing returns to the pool).
@@ -182,7 +197,7 @@ impl Clone for Buffer {
     fn clone(&self) -> Self {
         let mut v = acquire_with_capacity(self.data.len());
         v.extend_from_slice(&self.data);
-        Buffer { data: v }
+        Buffer::from_vec(v)
     }
 }
 
@@ -210,6 +225,16 @@ mod tests {
             let cap = 1usize << (a as u32 + MIN_CLASS);
             assert!(cap >= len, "class capacity {cap} must cover {len}");
             assert_eq!(release_class(cap), Some(a));
+        }
+        // What a miss allocates files back into the class it was requested
+        // from, so the next request of the same size hits: the reuse test's
+        // odd length, then the model's `[828,207]`, `[9936,32]` and
+        // `[48,207,207]`.
+        for len in [3089, 171_396, 317_952, 2_056_752] {
+            let a = acquire_class(len).unwrap();
+            let v = allocate_class(a);
+            assert!(v.capacity() >= len, "a miss must cover {len}");
+            assert_eq!(release_class(v.capacity()), Some(a), "len {len}");
         }
     }
 

@@ -2,22 +2,26 @@
 //!
 //! When profiling is armed via [`Tape::start_profiling`], every tensor op
 //! records its kind, call count, and cumulative wall time, and every graph
-//! node charges its value-buffer size against a live/peak tape-memory
-//! account (discharged when the node drops). [`Tape::profile_report`]
-//! surfaces the result. Nested ops (a loss calling `sub`/`abs`) each count
-//! under their own kind, so cumulative times overlap and do not sum to wall
-//! time.
+//! node charges its value's buffer against a live/peak tape-memory account,
+//! once per buffer: the buffer discharges itself when it drops, so the
+//! account counts what the graph actually holds — values that handles or
+//! backward closures keep alive, not every node's output.
+//! [`Tape::profile_report`] surfaces the result. Nested ops (a loss calling
+//! `sub`/`abs`) each count under their own kind, so cumulative times overlap
+//! and do not sum to wall time.
 //!
 //! All state is thread-local (the tape itself is single-threaded) and the
 //! whole API exists without the feature — calls just do nothing and reports
 //! come back empty — so downstream code compiles identically either way.
 
 #[cfg(feature = "obsv")]
-use std::cell::{Cell, RefCell};
-#[cfg(feature = "obsv")]
-use std::collections::BTreeMap;
-#[cfg(feature = "obsv")]
-use std::time::Instant;
+use std::{
+    cell::{Cell, RefCell},
+    collections::BTreeMap,
+    sync::atomic::{AtomicUsize, Ordering},
+    sync::{Arc, OnceLock},
+    time::Instant,
+};
 
 /// Per-op-kind aggregate in a [`ProfileReport`].
 #[derive(Clone, Debug, PartialEq)]
@@ -47,7 +51,8 @@ pub struct ProfileReport {
     pub ops: Vec<OpStat>,
     /// Graph nodes created while profiling was active.
     pub nodes_created: u64,
-    /// Value-buffer bytes currently held by profiled live nodes.
+    /// Bytes of the value buffers charged while profiling that are still
+    /// alive, held by a tensor handle or a backward closure.
     pub live_tape_bytes: usize,
     /// High-water mark of [`Self::live_tape_bytes`].
     pub peak_tape_bytes: usize,
@@ -88,7 +93,9 @@ struct ProfState {
     // kind -> (calls, nanos, pooled_calls, serial_reductions)
     per_op: BTreeMap<&'static str, (u64, u64, u64, u64)>,
     nodes_created: u64,
-    live_bytes: usize,
+    /// The live-bytes account. Shared with every buffer charged to it, so a
+    /// buffer discharges here even after a reset or from another thread.
+    live: Arc<AtomicUsize>,
     peak_bytes: usize,
 }
 
@@ -158,7 +165,8 @@ impl Tape {
                         })
                         .collect(),
                     nodes_created: s.nodes_created,
-                    live_tape_bytes: s.live_bytes,
+                    // relaxed: a point-in-time read of a byte counter
+                    live_tape_bytes: s.live.load(Ordering::Relaxed),
                     peak_tape_bytes: s.peak_bytes,
                 }
             })
@@ -241,31 +249,43 @@ impl Drop for OpScope {
     }
 }
 
-/// Charge `bytes` of node value storage to the live/peak account. Returns
-/// the amount actually charged (0 when profiling is inactive) so the node
-/// can discharge exactly that much on drop.
-#[cfg(feature = "obsv")]
-pub(crate) fn charge_bytes(bytes: usize) -> usize {
-    if !ACTIVE.with(Cell::get) {
-        return 0;
+/// Count a new graph node and charge its value's buffer to this thread's
+/// live/peak account, unless the buffer is already charged (a `reshape`
+/// shares its input's buffer). No-op when profiling is inactive or the
+/// feature is off.
+#[inline]
+pub(crate) fn charge_node(value: &crate::array::Array) {
+    #[cfg(feature = "obsv")]
+    if ACTIVE.with(Cell::get) {
+        STATE.with(|s| {
+            let mut s = s.borrow_mut();
+            s.nodes_created += 1;
+            let bytes = value.numel() * 4;
+            if value.buffer().charge.0.set((s.live.clone(), bytes)).is_ok() {
+                // relaxed: the account is a byte counter; it publishes no other memory
+                let live = s.live.fetch_add(bytes, Ordering::Relaxed) + bytes;
+                s.peak_bytes = s.peak_bytes.max(live);
+            }
+        });
     }
-    STATE.with(|s| {
-        let mut s = s.borrow_mut();
-        s.nodes_created += 1;
-        s.live_bytes = s.live_bytes.saturating_add(bytes);
-        s.peak_bytes = s.peak_bytes.max(s.live_bytes);
-    });
-    bytes
+    #[cfg(not(feature = "obsv"))]
+    let _ = value;
 }
 
-/// Release a node's previously charged bytes.
+/// A buffer's charge: empty until [`charge_node`] fills it with the account
+/// and the bytes charged, which it discharges when the buffer drops. That
+/// can happen on another thread (a pool worker can drop the last reference
+/// to an input its chunk read), hence the shared atomic account.
 #[cfg(feature = "obsv")]
-pub(crate) fn discharge_bytes(bytes: usize) {
-    if bytes == 0 {
-        return;
+#[derive(Default)]
+pub(crate) struct BufferCharge(OnceLock<(Arc<AtomicUsize>, usize)>);
+
+#[cfg(feature = "obsv")]
+impl Drop for BufferCharge {
+    fn drop(&mut self) {
+        if let Some((live, bytes)) = self.0.get() {
+            // relaxed: the account is a byte counter; it publishes no other memory
+            live.fetch_sub(*bytes, Ordering::Relaxed);
+        }
     }
-    STATE.with(|s| {
-        let mut s = s.borrow_mut();
-        s.live_bytes = s.live_bytes.saturating_sub(bytes);
-    });
 }

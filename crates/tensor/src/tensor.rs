@@ -1,13 +1,16 @@
 //! Reverse-mode automatic differentiation.
 //!
-//! A [`Tensor`] is a cheap-to-clone handle (`Rc`) to a node in a dynamically
-//! built computation DAG. Operators record a backward closure that maps the
-//! incoming output gradient to per-parent input gradients; [`Tensor::backward`]
-//! runs a topological sweep accumulating gradients into every node that
-//! requires them.
+//! A [`Tensor`] is a cheap-to-clone handle to a node in a dynamically built
+//! computation DAG plus the node's value. Operators record a backward
+//! closure that maps the incoming output gradient to per-parent input
+//! gradients; [`Tensor::backward`] runs a topological sweep accumulating
+//! gradients into every node that requires them.
 //!
 //! The graph is rebuilt for every forward pass (define-by-run), so recurrent
 //! models simply unroll in time. Nodes are freed when the last handle drops.
+//! The graph holds nodes, not values: a value lives only while a handle or a
+//! backward closure that reads it does, so a training step keeps only what
+//! its backward needs.
 
 use crate::array::Array;
 use std::cell::RefCell;
@@ -46,28 +49,24 @@ pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
 /// receives no gradient from this edge.
 pub(crate) type BackwardFn = Box<dyn Fn(&Array) -> Vec<Option<Array>>>;
 
-pub(crate) struct Node {
-    pub(crate) id: u64,
-    pub(crate) value: RefCell<Array>,
-    pub(crate) grad: RefCell<Option<Array>>,
-    pub(crate) requires_grad: bool,
-    pub(crate) parents: Vec<Tensor>,
-    pub(crate) backward: Option<BackwardFn>,
-    /// Value-buffer bytes charged to the tape profiler at creation (0 when
-    /// profiling was inactive); discharged on drop.
-    #[cfg(feature = "obsv")]
-    pub(crate) profiled_bytes: usize,
+/// A graph node. It holds no value: parents are nodes, not tensors, so the
+/// graph never keeps an output alive that no backward closure reads.
+struct Node {
+    id: u64,
+    grad: RefCell<Option<Array>>,
+    requires_grad: bool,
+    /// Shape of the value, for the seed and gradient shape checks.
+    shape: Vec<usize>,
+    parents: Vec<Rc<Node>>,
+    backward: Option<BackwardFn>,
 }
 
 impl Drop for Node {
     fn drop(&mut self) {
-        #[cfg(feature = "obsv")]
-        crate::profile::discharge_bytes(self.profiled_bytes);
         // Long op chains (unrolled RNNs) would otherwise drop recursively
         // through `parents` and overflow the stack; unlink iteratively.
         let mut stack = std::mem::take(&mut self.parents);
-        while let Some(t) = stack.pop() {
-            let mut rc = t.node;
+        while let Some(mut rc) = stack.pop() {
             if let Some(node) = Rc::get_mut(&mut rc) {
                 stack.append(&mut node.parents);
             }
@@ -76,10 +75,13 @@ impl Drop for Node {
     }
 }
 
-/// A node in the autodiff graph holding an [`Array`] value.
+/// A handle to a node in the autodiff graph and to its [`Array`] value.
+/// Clones share both, so an in-place update through one clone (`set_value`,
+/// `apply_grad`) is seen by all of them.
 #[derive(Clone)]
 pub struct Tensor {
-    pub(crate) node: Rc<Node>,
+    node: Rc<Node>,
+    value: Rc<RefCell<Array>>,
 }
 
 impl std::fmt::Debug for Tensor {
@@ -88,7 +90,7 @@ impl std::fmt::Debug for Tensor {
             f,
             "Tensor{{id: {}, value: {:?}, requires_grad: {}}}",
             self.node.id,
-            self.node.value.borrow(),
+            self.value.borrow(),
             self.node.requires_grad
         )
     }
@@ -101,30 +103,12 @@ impl Tensor {
 
     /// Wrap an array as a constant (no gradient tracked).
     pub fn constant(value: Array) -> Self {
-        Self::leaf(value, false)
+        Self::new_node(value, false, Vec::new(), None)
     }
 
     /// Wrap an array as a trainable parameter (gradient accumulated).
     pub fn parameter(value: Array) -> Self {
-        Self::leaf(value, true)
-    }
-
-    fn leaf(value: Array, requires_grad: bool) -> Self {
-        #[cfg(feature = "obsv")]
-        let profiled_bytes = crate::profile::charge_bytes(value.numel() * 4);
-        Tensor {
-            node: Rc::new(Node {
-                // relaxed: node ids only need fetch_add's uniqueness, not ordering
-                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                value: RefCell::new(value),
-                grad: RefCell::new(None),
-                requires_grad,
-                parents: Vec::new(),
-                backward: None,
-                #[cfg(feature = "obsv")]
-                profiled_bytes,
-            }),
-        }
+        Self::new_node(value, true, Vec::new(), None)
     }
 
     /// Internal: build an op node.
@@ -133,20 +117,32 @@ impl Tensor {
         #[cfg(feature = "sanitize")]
         // relaxed: node ids only need fetch_add's uniqueness, not ordering
         crate::sanitize::check_op_output(NEXT_ID.load(Ordering::Relaxed), &value);
-        #[cfg(feature = "obsv")]
-        let profiled_bytes = crate::profile::charge_bytes(value.numel() * 4);
+        // Without gradients there is no reason to retain the graph.
+        if !requires_grad {
+            return Self::new_node(value, false, Vec::new(), None);
+        }
+        let parents = parents.into_iter().map(|p| p.node).collect();
+        Self::new_node(value, true, parents, Some(backward))
+    }
+
+    fn new_node(
+        value: Array,
+        requires_grad: bool,
+        parents: Vec<Rc<Node>>,
+        backward: Option<BackwardFn>,
+    ) -> Self {
+        crate::profile::charge_node(&value);
         Tensor {
             node: Rc::new(Node {
+                // relaxed: node ids only need fetch_add's uniqueness, not ordering
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                value: RefCell::new(value),
                 grad: RefCell::new(None),
                 requires_grad,
-                // Without gradients there is no reason to retain the graph.
-                parents: if requires_grad { parents } else { Vec::new() },
-                backward: if requires_grad { Some(backward) } else { None },
-                #[cfg(feature = "obsv")]
-                profiled_bytes,
+                shape: value.shape().to_vec(),
+                parents,
+                backward,
             }),
+            value: Rc::new(RefCell::new(value)),
         }
     }
 
@@ -156,27 +152,27 @@ impl Tensor {
 
     /// Snapshot of the current value.
     pub fn value(&self) -> Array {
-        self.node.value.borrow().clone()
+        self.value.borrow().clone()
     }
 
     /// Run `f` over the value without cloning.
     pub fn with_value<R>(&self, f: impl FnOnce(&Array) -> R) -> R {
-        f(&self.node.value.borrow())
+        f(&self.value.borrow())
     }
 
     /// Shape of the value.
     pub fn shape(&self) -> Vec<usize> {
-        self.node.value.borrow().shape().to_vec()
+        self.value.borrow().shape().to_vec()
     }
 
     /// Total element count.
     pub fn numel(&self) -> usize {
-        self.node.value.borrow().numel()
+        self.value.borrow().numel()
     }
 
     /// Scalar value of a one-element tensor.
     pub fn item(&self) -> f32 {
-        self.node.value.borrow().item()
+        self.value.borrow().item()
     }
 
     /// Whether gradients flow through/into this tensor.
@@ -202,11 +198,7 @@ impl Tensor {
     /// Replace the stored gradient outright (gradient clipping).
     pub fn replace_grad(&self, grad: Option<Array>) {
         if let Some(g) = &grad {
-            assert_eq!(
-                g.shape(),
-                self.node.value.borrow().shape(),
-                "replace_grad shape mismatch"
-            );
+            assert_eq!(g.shape(), self.node.shape, "replace_grad shape mismatch");
         }
         *self.node.grad.borrow_mut() = grad;
     }
@@ -218,7 +210,7 @@ impl Tensor {
 
     /// Overwrite the value in place (used by optimizers on parameters).
     pub fn set_value(&self, value: Array) {
-        let mut v = self.node.value.borrow_mut();
+        let mut v = self.value.borrow_mut();
         assert_eq!(
             v.shape(),
             value.shape(),
@@ -232,7 +224,7 @@ impl Tensor {
     pub fn apply_grad(&self, f: impl FnOnce(&mut Array, &Array)) {
         let grad = self.node.grad.borrow();
         if let Some(g) = grad.as_ref() {
-            f(&mut self.node.value.borrow_mut(), g);
+            f(&mut self.value.borrow_mut(), g);
         }
     }
 
@@ -243,7 +235,7 @@ impl Tensor {
     /// Back-propagate from this (typically scalar loss) tensor, accumulating
     /// `d self / d leaf` into every reachable node with `requires_grad`.
     pub fn backward(&self) {
-        let seed = Array::ones(self.node.value.borrow().shape());
+        let seed = Array::ones(&self.node.shape);
         self.backward_with(seed);
     }
 
@@ -252,7 +244,7 @@ impl Tensor {
         let _prof = crate::profile::op_scope("backward");
         assert_eq!(
             seed.shape(),
-            self.node.value.borrow().shape(),
+            self.node.shape,
             "backward seed must match the output shape"
         );
         if !self.node.requires_grad {
@@ -260,58 +252,47 @@ impl Tensor {
         }
         // Topological order (parents before children in `order`, we iterate
         // reversed so gradients flow output -> inputs).
-        let mut order: Vec<Tensor> = Vec::new();
+        let mut order: Vec<Rc<Node>> = Vec::new();
         let mut visited: HashMap<u64, ()> = HashMap::new();
         // Iterative DFS to avoid stack overflow on long unrolled RNN graphs.
-        let mut stack: Vec<(Tensor, usize)> = vec![(self.clone(), 0)];
+        let mut stack: Vec<(Rc<Node>, usize)> = vec![(self.node.clone(), 0)];
         visited.insert(self.node.id, ());
-        while let Some((t, child_idx)) = stack.pop() {
-            if child_idx < t.node.parents.len() {
-                let parent = t.node.parents[child_idx].clone();
-                stack.push((t, child_idx + 1));
-                if parent.node.requires_grad && !visited.contains_key(&parent.node.id) {
-                    visited.insert(parent.node.id, ());
+        while let Some((node, child_idx)) = stack.pop() {
+            if child_idx < node.parents.len() {
+                let parent = node.parents[child_idx].clone();
+                stack.push((node, child_idx + 1));
+                if parent.requires_grad && !visited.contains_key(&parent.id) {
+                    visited.insert(parent.id, ());
                     stack.push((parent, 0));
                 }
             } else {
-                order.push(t);
+                order.push(node);
             }
         }
 
         // Seed and sweep.
         accumulate(&self.node, seed);
-        for t in order.iter().rev() {
-            let grad_out = if t.node.backward.is_some() {
-                // Non-leaf gradients are transient: consume and clear so a
-                // second backward() pass does not double-count (leaf
-                // parameters keep accumulating, as optimizers expect).
-                t.node.grad.borrow_mut().take()
-            } else {
-                t.node.grad.borrow().clone()
+        for node in order.iter().rev() {
+            // Leaves have no closure and keep their gradient.
+            let Some(backward) = node.backward.as_ref() else {
+                continue;
             };
-            let (Some(grad_out), Some(backward)) = (grad_out, t.node.backward.as_ref()) else {
+            // Non-leaf gradients are transient: consume and clear so a
+            // second backward() pass does not double-count (leaf parameters
+            // keep accumulating, as optimizers expect).
+            let Some(grad_out) = node.grad.borrow_mut().take() else {
                 continue;
             };
             #[cfg(feature = "sanitize")]
-            crate::sanitize::check_grad(
-                "output gradient",
-                t.node.id,
-                &grad_out,
-                t.node.value.borrow().shape(),
-            );
+            crate::sanitize::check_grad("output gradient", node.id, &grad_out, &node.shape);
             let parent_grads = backward(&grad_out);
-            debug_assert_eq!(parent_grads.len(), t.node.parents.len());
-            for (parent, grad) in t.node.parents.iter().zip(parent_grads) {
+            debug_assert_eq!(parent_grads.len(), node.parents.len());
+            for (parent, grad) in node.parents.iter().zip(parent_grads) {
                 if let Some(g) = grad {
                     #[cfg(feature = "sanitize")]
-                    crate::sanitize::check_grad(
-                        "parent gradient",
-                        parent.node.id,
-                        &g,
-                        parent.node.value.borrow().shape(),
-                    );
-                    if parent.node.requires_grad {
-                        accumulate(&parent.node, g);
+                    crate::sanitize::check_grad("parent gradient", parent.id, &g, &parent.shape);
+                    if parent.requires_grad {
+                        accumulate(parent, g);
                     }
                 }
             }
@@ -421,6 +402,22 @@ mod tests {
         // Depth restored: recording works again.
         let a = Tensor::parameter(Array::scalar(1.0));
         assert!(a.mul(&a).requires_grad());
+    }
+
+    #[test]
+    fn clones_of_a_parameter_share_one_value() {
+        let a = Tensor::parameter(Array::from_vec(&[2], vec![1.0, 2.0]).unwrap());
+        let b = a.clone();
+        b.set_value(Array::from_vec(&[2], vec![3.0, 4.0]).unwrap());
+        assert_eq!(a.value().data(), &[3.0, 4.0]);
+        // The next op reads the updated value: 3² + 4² = 25, grad 2a.
+        let y = a.mul(&a).sum_all();
+        assert_eq!(y.item(), 25.0);
+        y.backward();
+        assert_eq!(b.grad().unwrap().data(), &[6.0, 8.0]);
+        a.apply_grad(|v, g| v.add_scaled_assign(g, -0.5));
+        assert_eq!(b.value().data(), &[0.0, 0.0]);
+        assert_eq!(b.mul(&a).add_scalar(1.0).sum_all().item(), 2.0);
     }
 
     #[test]

@@ -14,9 +14,12 @@ fn profiler_counts_ops_and_tracks_tape_memory() {
         let y = a.matmul(&b).relu().sum_all();
         y.backward();
         let mid = Tape::profile_report();
-        // 2 leaves (4 floats each) + matmul (4) + relu (4) + sum_all (1)
-        // = 17 floats = 68 bytes live while the graph is held.
-        assert_eq!(mid.live_tape_bytes, 68);
+        // The account counts the buffers still held: the 2 leaves (4 floats
+        // each), the matmul output that relu's closure reads (4) and the sum
+        // (1) = 13 floats = 52 bytes. No closure reads relu's output, so it
+        // was freed with its temporary handle; at the peak, when sum_all was
+        // made, it was still held: 17 floats = 68 bytes.
+        assert_eq!(mid.live_tape_bytes, 52);
         assert_eq!(mid.peak_tape_bytes, 68);
         assert_eq!(mid.nodes_created, 5);
         y.item()
