@@ -16,7 +16,9 @@
 //!   from pool threads alone (≈1.0 on a single-core container).
 //!
 //! `model` rows time the matmul shapes the paper-size model runs (see
-//! [`MODEL_SHAPES`]) the same way, with the tiled kernel as their `serial_ms`.
+//! [`MODEL_SHAPES`]) the same way, with the tiled kernel as their `serial_ms`;
+//! `model_bwd` rows time `Tensor::matmul` plus `backward_with` at the same
+//! shapes, the forward and both gradients.
 //!
 //! Writes `target/experiments/BENCH_tensor_kernels.json` (schema
 //! `d2stgnn-bench-v1`). `--fast` runs fewer, smaller square shapes for the
@@ -26,7 +28,7 @@ use std::process::Command;
 use std::time::Instant;
 
 use d2stgnn_bench::write_bench_artifact;
-use d2stgnn_tensor::{pool, simd, Array};
+use d2stgnn_tensor::{pool, simd, Array, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Child-mode trigger: when set, run the measurement pass with the inherited
@@ -146,7 +148,8 @@ fn shapes(fast: bool) -> (&'static [usize], (usize, usize)) {
 /// paper-size model (207 sensors, batch 4, hidden 32): the `[9936,32]`
 /// linear layers, the per-window grouped Eq. 8 product, the adaptive-matrix
 /// arm, and the inherent block's two attention pages. Their rows are
-/// labelled `model`, so the square `gemm` rows alone carry CI's floors.
+/// labelled `model` (forward) and `model_bwd` (forward and backward), so
+/// the square `gemm` rows alone carry CI's floors.
 const MODEL_SHAPES: [(&[usize], &[usize]); 5] = [
     (&[9936, 32], &[32, 32]),
     (&[4, 207, 207], &[48, 207, 32]),
@@ -203,10 +206,30 @@ fn run_child(out_path: &str, fast: bool, reps: usize) {
         let (m, k, n) = (lhs[lhs.len() - 2], lhs[lhs.len() - 1], rhs[rhs.len() - 1]);
         let pages = |s: &[usize]| s[..s.len() - 2].iter().product::<usize>();
         let macs = pages(lhs).max(pages(rhs)) * m * k * n;
+        let shape = format!("{lhs:?}x{rhs:?}").replace(' ', "");
         rows.push(ChildRow {
             kind: "model".into(),
-            shape: format!("{lhs:?}x{rhs:?}").replace(' ', ""),
+            shape: shape.clone(),
             flops: 2 * macs as u64,
+            naive_ms: 0.0,
+            tiled_ms,
+            pooled_ms,
+        });
+        // `model_bwd`: the same product through autograd, forward plus both
+        // gradients (`g·Bᵀ` and `Aᵀ·g`, with their page sums), so three
+        // products' worth of flops.
+        let seed = arr(a.matmul(&b).shape(), 40 + i as u32);
+        let step = || {
+            let (ta, tb) = (Tensor::parameter(a.clone()), Tensor::parameter(b.clone()));
+            ta.matmul(&tb).backward_with(seed.clone());
+            tb.grad().expect("rhs gradient")
+        };
+        let tiled_ms = time_best(reps, &mut sink, || pool::with_serial(step));
+        let pooled_ms = time_best(reps, &mut sink, step);
+        rows.push(ChildRow {
+            kind: "model_bwd".into(),
+            shape,
+            flops: 6 * macs as u64,
             naive_ms: 0.0,
             tiled_ms,
             pooled_ms,

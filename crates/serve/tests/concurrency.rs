@@ -14,6 +14,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
+#[cfg_attr(
+    not(any(debug_assertions, feature = "sanitize")),
+    ignore = "lock-order checker is compiled out of plain release builds"
+)]
 fn lock_order_inversion_is_caught() {
     let a = Arc::new(OrderedMutex::new("test.inversion.a", 0u32));
     let b = Arc::new(OrderedMutex::new("test.inversion.b", 0u32));

@@ -652,56 +652,111 @@ impl Array {
     /// is one tiled batched GEMM, spread over the compute pool when large;
     /// results are bit-identical at any thread count.
     pub fn matmul(&self, other: &Self) -> Self {
-        match (self.rank(), other.rank()) {
-            (2 | 3, 2) => {
-                // `[m,k] x [k,n]` and `[b,m,k] x [k,n]` are row-wise one
-                // `[rows,k] x [k,n]` page; the leading dims come back as is.
-                let (lead, last) = self.shape.split_at(self.rank() - 1);
-                let k = last[0];
-                assert_eq!(
-                    k, other.shape[0],
-                    "matmul: inner dims {k} vs {}",
-                    other.shape[0]
-                );
-                let n = other.shape[1];
-                let page = self.matmul_batched(other, 1, 1, lead.iter().product(), k, n);
-                Self {
-                    shape: [lead, &[n]].concat(),
-                    data: page.data,
-                }
+        self.matmul_t(false, other, false, 1)
+    }
+
+    /// `op(self) · op(other)`: the one packed GEMM behind [`Array::matmul`]
+    /// and its backward. `op` reads an operand's pages with their last two
+    /// axes swapped when its flag (`ta`, `tb`) is set, in place through
+    /// strides, so `g·Bᵀ` and `Aᵀ·g` need no transposed copy. The forms are
+    /// [`Array::matmul`]'s, with one limit: a transposed rank-3 lhs needs a
+    /// rank-3 rhs.
+    ///
+    /// Each run of `sum` consecutive product pages is added into one output
+    /// page, in page order from zero: `[p,m,n]` products come back as
+    /// `[p / sum, m, n]`. That is the backward's page sum (a shared lhs
+    /// page's gradient sums its rhs pages), done in registers instead of
+    /// through a stored `[p,m,n]` intermediate and a `sum_axis`, with the
+    /// same adds in the same order. Only products whose rhs pages each have
+    /// their own lhs page can be summed.
+    ///
+    /// Every rhs page is packed once up front (see [`gemm::pack_b`]), then
+    /// the output rows are chunked through the pool [`gemm::chunk_rows`] at
+    /// a time — enough rows to carry real work, a function of the shape
+    /// only — so parallelism scales with batch × rows, and chunk geometry,
+    /// and hence results, are the same at every `D2_THREADS`.
+    pub(crate) fn matmul_t(&self, ta: bool, other: &Self, tb: bool, sum: usize) -> Self {
+        let pages_of = |shape: &[usize]| match *shape {
+            [r, c] => Some((1, r, c)),
+            [p, r, c] => Some((p, r, c)),
+            _ => None,
+        };
+        let (Some((pa, ra, ca)), Some((pb, rb, cb))) =
+            (pages_of(&self.shape), pages_of(&other.shape))
+        else {
+            crate::error::violation(format_args!(
+                "matmul: unsupported ranks {} and {}",
+                self.rank(),
+                other.rank()
+            ))
+        };
+        // Logical page shapes after `op`, and how a block reads the lhs.
+        let (m, k, rs, cs) = if ta { (ca, ra, 1, ca) } else { (ra, ca, ca, 1) };
+        let (kb, n) = if tb { (cb, rb) } else { (rb, cb) };
+        assert_eq!(k, kb, "matmul: inner dims {k} vs {kb}");
+        // `(products, lhs pages per product, rows per page, output shape)`.
+        // Against a rank-2 rhs, a row-major lhs is one page of all its rows.
+        let (products, group, m, out_shape) = match (other.rank(), ta && self.rank() == 3) {
+            (2, false) => {
+                let out_shape = match self.rank() {
+                    3 => vec![pa, m, n],
+                    _ => vec![m, n],
+                };
+                (1, 1, pa * m, out_shape)
             }
-            (2, 3) => {
-                let b = other.shape[0];
-                let (m, k) = (self.shape[0], self.shape[1]);
+            (3, _) => {
+                let group = pb.checked_div(pa).unwrap_or(0);
                 assert_eq!(
-                    k, other.shape[1],
-                    "matmul: inner dims {k} vs {}",
-                    other.shape[1]
+                    pa * group,
+                    pb,
+                    "matmul: batch {pb} is not a multiple of {pa}"
                 );
-                let n = other.shape[2];
-                self.matmul_batched(other, b, b, m, k, n)
+                let outs = pb.checked_div(sum).unwrap_or(0);
+                (pb, group, m, vec![outs, m, n])
             }
-            (3, 3) => {
-                let (groups, m, k) = (self.shape[0], self.shape[1], self.shape[2]);
-                let b = other.shape[0];
-                let group = b.checked_div(groups).unwrap_or(0);
-                assert_eq!(
-                    groups * group,
-                    b,
-                    "matmul: batch {b} is not a multiple of {groups}"
-                );
-                assert_eq!(
-                    k, other.shape[1],
-                    "matmul: inner dims {k} vs {}",
-                    other.shape[1]
-                );
-                let n = other.shape[2];
-                self.matmul_batched(other, b, group, m, k, n)
-            }
-            (a, b) => {
-                crate::error::violation(format_args!("matmul: unsupported ranks {a} and {b}"))
-            }
+            _ => crate::error::violation("matmul: a transposed rank-3 lhs needs a rank-3 rhs"),
+        };
+        if products.checked_rem(sum) != Some(0) || (sum > 1 && group > 1) {
+            crate::error::violation(format_args!(
+                "matmul: cannot sum runs of {sum} of {products} product pages"
+            ));
         }
+        let a_page = ra * ca;
+        let a = self.data.clone();
+        let packed = Buffer::from_vec(gemm::pack_b(&other.data, products, k, n, tb));
+        let data = pool::run_chunked(
+            numel(&out_shape),
+            gemm::chunk_rows(numel(&out_shape).checked_div(n).unwrap_or(0), k * n * sum) * n,
+            products
+                .saturating_mul(m)
+                .saturating_mul(k)
+                .saturating_mul(n),
+            Arc::new(move |start: usize, out: &mut [f32]| {
+                // A chunk may span output pages; walk it one page at a
+                // time. `out.len()` is always a multiple of `n` (chunk and
+                // total both are).
+                let mut start = start;
+                let mut rest = out;
+                while !rest.is_empty() {
+                    let o = start / (m * n);
+                    let i0 = (start - o * m * n) / n;
+                    let rows = ((m - i0) * n).min(rest.len()) / n;
+                    let first = o * sum;
+                    let lhs = gemm::Lhs {
+                        off: first.checked_div(group).unwrap_or(0) * a_page + i0 * rs,
+                        rs,
+                        cs,
+                        page: a_page,
+                    };
+                    let (chunk_out, tail) = std::mem::take(&mut rest).split_at_mut(rows * n);
+                    let pages = &packed[first * k * n..(first + sum) * k * n];
+                    gemm::block(&a, lhs, k, pages, sum, n, chunk_out);
+                    start += rows * n;
+                    rest = tail;
+                }
+            }),
+        );
+        Self::from_buffer(out_shape, data)
     }
 
     /// The seed's naive serial matmul (rank 2 only), kept as the reference
@@ -723,63 +778,6 @@ impl Array {
         let mut data = buffers::acquire_zeroed(m * n);
         gemm::naive(&self.data, &other.data, &mut data, m, k, n);
         Self::from_parts(vec![m, n], data)
-    }
-
-    /// Batched matmul pooled over the combined batch × row-panel space.
-    /// `other` is `[b,k,n]` and `self` holds `b / group` pages of `[m,k]`:
-    /// output page `i` multiplies lhs page `i / group` by rhs page `i`. So
-    /// `group == 1` is `[b,m,k] x [b,k,n]` (at `b == 1`, the 2-D product)
-    /// and `group == b` is one `[m,k]` shared across the batch.
-    ///
-    /// Every batch element's B page is packed once up front (the packed
-    /// layout is `k*n` floats per element, see [`gemm::pack_b_all`]), then
-    /// the `b*m` output rows are chunked `ROW_CHUNK` at a time through the
-    /// pool — so parallelism scales with `b * m / ROW_CHUNK` rather than
-    /// with whichever of batch or rows happens to be wider. Chunk geometry
-    /// depends only on `(b, m, n)` and per-element accumulation order is
-    /// unchanged, so results stay bit-identical at every `D2_THREADS`.
-    fn matmul_batched(
-        &self,
-        other: &Self,
-        b: usize,
-        group: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Self {
-        let lhs_page = move |bi: usize| bi.checked_div(group).unwrap_or(0) * m * k;
-        let flops = b.saturating_mul(m).saturating_mul(k).saturating_mul(n);
-        let a = self.data.clone();
-        let packed = Buffer::from_vec(gemm::pack_b_all(&other.data, b, k, n));
-        let data = pool::run_chunked(
-            b * m * n,
-            gemm::ROW_CHUNK * n,
-            flops,
-            Arc::new(move |start: usize, out: &mut [f32]| {
-                // A chunk may span a batch boundary; walk it one batch
-                // element at a time. `out.len()` is always a multiple of
-                // `n` (chunk and total both are).
-                let mut start = start;
-                let mut rest = out;
-                while !rest.is_empty() {
-                    let bi = start / (m * n);
-                    let i0 = (start - bi * m * n) / n;
-                    let rows = ((m - i0) * n).min(rest.len()) / n;
-                    let page = lhs_page(bi);
-                    let (chunk_out, tail) = std::mem::take(&mut rest).split_at_mut(rows * n);
-                    gemm::block(
-                        &a[page + i0 * k..page + (i0 + rows) * k],
-                        k,
-                        &packed[bi * k * n..(bi + 1) * k * n],
-                        n,
-                        chunk_out,
-                    );
-                    start += rows * n;
-                    rest = tail;
-                }
-            }),
-        );
-        Self::from_buffer(vec![b, m, n], data)
     }
 
     // ------------------------------------------------------------------

@@ -77,22 +77,16 @@ fn allocate_class(class: usize) -> Vec<f32> {
 /// Fetch a zero-filled vector of exactly `len` elements, reusing pooled
 /// storage when a large-enough vector is parked.
 pub(crate) fn acquire_zeroed(len: usize) -> Vec<f32> {
-    let mut v = acquire_raw(len);
+    let mut v = acquire_with_capacity(len);
     v.resize(len, 0.0);
     v
 }
 
 /// Fetch an empty vector with capacity for at least `len` elements, for
-/// build-by-push construction (`concat`, `slice`, `map` collects).
+/// build-by-push construction (`concat`, `slice`, `map` collects). A vector
+/// parked in class `c` holds at least `2^c` elements, and a miss allocates
+/// the whole class, so the capacity always covers `len`.
 pub(crate) fn acquire_with_capacity(len: usize) -> Vec<f32> {
-    let mut v = acquire_raw(len);
-    if v.capacity() < len {
-        v.reserve(len - v.capacity());
-    }
-    v
-}
-
-fn acquire_raw(len: usize) -> Vec<f32> {
     let Some(class) = acquire_class(len) else {
         return Vec::with_capacity(len);
     };

@@ -253,21 +253,24 @@ impl Tensor {
         let _prof = crate::profile::op_scope("matmul");
         let (av, bv) = (self.value(), other.value());
         let out = av.matmul(&bv);
-        let (ra, rb) = (av.rank(), bv.rank());
-        // When several rhs pages share one lhs page — `[m,k] x [b,k,n]` (one
-        // group of `b`) or grouped `[g,m,k] x [g·t,k,n]` with `t > 1` — dA
-        // sums each group's `g·Bᵀ` pages, from zero in ascending page order:
-        // the `[g, t, m, k]` view summed over axis 1. A plain batched
-        // product has one page per group and skips the copy; its bits would
-        // not change anyway, as a GEMM accumulates from `+0.0` and so never
-        // yields the `-0.0` that a sum from zero would flip.
-        let a_shape = av.shape().to_vec();
-        let grouped = match (av.shape(), bv.shape()) {
-            (&[m, k], &[b, _, _]) => Some([1, b, m, k]),
-            (&[groups, m, k], &[b, _, _]) if b != groups => {
-                Some([groups, b.checked_div(groups).unwrap_or(0), m, k])
-            }
-            _ => None,
+        // The gradients are `g·Bᵀ` and `Aᵀ·g`, read through strides with no
+        // transposed copy. When several rhs pages share one lhs page —
+        // `[m,k] x [b,k,n]` (one group of `b`) or grouped `[g,m,k] x
+        // [g·t,k,n]` — dA sums each group's `g·Bᵀ` pages, and when one rhs
+        // page serves a batch — `[b,m,k] x [k,n]` — dB sums the `b` pages of
+        // `Aᵀ·g`; both from zero in ascending page order, in registers. A
+        // plain batched product sums nothing; its bits would not change
+        // anyway, as a GEMM accumulates from `+0.0` and so never yields the
+        // `-0.0` that a sum from zero would flip.
+        let (a_shape, b_shape) = (av.shape().to_vec(), bv.shape().to_vec());
+        let da_sum = match (av.shape(), bv.shape()) {
+            (&[_, _], &[b, _, _]) => b,
+            (&[groups, _, _], &[b, _, _]) => b.checked_div(groups).unwrap_or(0),
+            _ => 1,
+        };
+        let db_sum = match (av.shape(), bv.shape()) {
+            (&[b, _, _], &[_, _]) => b,
+            _ => 1,
         };
         // The closure captures a parent's value only if the *other* parent
         // needs a gradient (dA needs B, dB needs A); a matmul against a
@@ -278,21 +281,13 @@ impl Tensor {
             out,
             vec![self.clone(), other.clone()],
             Box::new(move |g| {
-                let da = bv.as_ref().map(|bv| {
-                    let da = g.matmul(&bv.transpose());
-                    match grouped {
-                        Some(view) => {
-                            let pages = crate::error::require(da.reshape(&view), "matmul grad");
-                            let summed = pages.sum_axis(1, false);
-                            crate::error::require(summed.reshape(&a_shape), "matmul grad")
-                        }
-                        None => da,
-                    }
-                });
-                let db = av.as_ref().map(|av| match (ra, rb) {
-                    (3, 2) => av.transpose().matmul(g).sum_axis(0, false),
-                    _ => av.transpose().matmul(g),
-                });
+                let shaped = |grad: Array, shape: &[usize]| {
+                    crate::error::require(grad.reshape(shape), "matmul grad")
+                };
+                let da =
+                    (bv.as_ref()).map(|bv| shaped(g.matmul_t(false, bv, true, da_sum), &a_shape));
+                let db =
+                    (av.as_ref()).map(|av| shaped(av.matmul_t(true, g, false, db_sum), &b_shape));
                 vec![da, db]
             }),
         )

@@ -343,56 +343,110 @@ fn repeat_pages(groups: usize, t: usize) -> Vec<usize> {
 #[test]
 fn grouped_matmul_equals_the_tiled_product_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(5);
-    let (m, k, n) = (7, 13, 19);
+    let (m, k) = (7, 13);
     // `t = 1` is the plain batched product against the identity index: the
     // per-window arm of Eq. 8 at `T_h = 1`, whose dA `index_add` summed
-    // from zero where the plain backward does not sum at all.
-    for (groups, t) in [(3, 5), (4, 1)] {
-        let finite = |v: f32, or: f32| if v.is_finite() { v } else { or };
-        let a = random_array(&[groups, m, k], &mut rng).map(|v| finite(v, 0.5));
-        let b = Array::randn(&[groups * t, k, n], &mut rng);
-        // Signed zeros in the upstream gradient, and a whole row of them on
-        // page 0, so `g·Bᵀ` meets terms that are `-0.0`.
-        let w = random_array(&[groups * t, m, n], &mut rng);
-        let w = Array::from_vec(
-            w.shape(),
-            (w.data().iter().enumerate())
-                .map(|(i, &v)| if i < n { -0.0 } else { finite(v, -0.0) })
-                .collect(),
-        )
-        .unwrap();
-        let repeat = repeat_pages(groups, t);
-        let grouped = grads(&a, &b, &w, |x, y| x.matmul(y));
-        let tiled = grads(&a, &b, &w, |x, y| x.index_select(0, &repeat).matmul(y));
-        assert_eq!(grouped[0].shape(), &[groups * t, m, n]);
-        for (what, (g, r)) in ["forward", "d lhs", "d rhs"]
-            .iter()
-            .zip(grouped.iter().zip(&tiled))
-        {
-            assert_eq!(g.shape(), r.shape(), "{what} at t = {t}");
-            assert_eq!(
-                bits(g),
-                bits(r),
-                "{what} at t = {t} differs from the tiled product"
-            );
+    // from zero where the plain backward does not sum at all. The widths
+    // cover one column, the attention pages' 4, 8 and 12, and one short of
+    // and one past a 16-wide panel.
+    for n in [19, 1, 4, 8, 12, 15, 17] {
+        for (groups, t) in [(3, 5), (4, 1)] {
+            let finite = |v: f32, or: f32| if v.is_finite() { v } else { or };
+            let a = random_array(&[groups, m, k], &mut rng).map(|v| finite(v, 0.5));
+            let b = Array::randn(&[groups * t, k, n], &mut rng);
+            // Signed zeros in the upstream gradient, and a whole row of them
+            // on page 0, so `g·Bᵀ` meets terms that are `-0.0`.
+            let w = random_array(&[groups * t, m, n], &mut rng);
+            let w = Array::from_vec(
+                w.shape(),
+                (w.data().iter().enumerate())
+                    .map(|(i, &v)| if i < n { -0.0 } else { finite(v, -0.0) })
+                    .collect(),
+            )
+            .unwrap();
+            let repeat = repeat_pages(groups, t);
+            let grouped = grads(&a, &b, &w, |x, y| x.matmul(y));
+            let tiled = grads(&a, &b, &w, |x, y| x.index_select(0, &repeat).matmul(y));
+            assert_eq!(grouped[0].shape(), &[groups * t, m, n]);
+            for (what, (g, r)) in ["forward", "d lhs", "d rhs"]
+                .iter()
+                .zip(grouped.iter().zip(&tiled))
+            {
+                assert_eq!(g.shape(), r.shape(), "{what} at t = {t}, n = {n}");
+                assert_eq!(
+                    bits(g),
+                    bits(r),
+                    "{what} at t = {t}, n = {n} differs from the tiled product"
+                );
+            }
+            // The Array kernel agrees with the autograd value, and the
+            // gradients with the public-op formulas: each group's `g·Bᵀ`
+            // pages summed over the `[g,t,m,k]` view, and `Aᵀ·g`.
+            assert_eq!(bits(&a.matmul(&b)), bits(&grouped[0]));
+            let da = w
+                .matmul(&b.transpose())
+                .reshape(&[groups, t, m, k])
+                .unwrap()
+                .sum_axis(1, false);
+            assert_eq!(bits(&grouped[1]), bits(&da), "d lhs at t = {t}, n = {n}");
+            let db = a.transpose().matmul(&w);
+            assert_eq!(bits(&grouped[2]), bits(&db), "d rhs at t = {t}, n = {n}");
         }
-        // The Array kernel agrees with the autograd value.
-        assert_eq!(bits(&a.matmul(&b)), bits(&grouped[0]));
     }
 }
 
 #[test]
 fn plain_batched_matmul_backward_is_unsummed() {
     // t = 1: the grouped rule leaves the plain batched product's pages
-    // alone, so its gradients are the bare `g·Bᵀ` and `Aᵀ·g` products.
+    // alone, so its gradients are the bare `g·Bᵀ` and `Aᵀ·g` products; the
+    // 2-D product likewise. Where one operand is shared across a batch —
+    // `[b,m,k] x [k,n]` and `[m,k] x [b,k,n]` — its gradient is those
+    // products' pages summed over the batch axis. Every width from one
+    // column to past a 16-wide panel, at a row count that is not a whole
+    // number of 4-row tiles.
     let mut rng = StdRng::seed_from_u64(6);
-    let (batch, m, k, n) = (4, 6, 9, 5);
-    let a = Array::randn(&[batch, m, k], &mut rng);
-    let b = Array::randn(&[batch, k, n], &mut rng);
-    let w = Array::randn(&[batch, m, n], &mut rng);
-    let [_, da, db] = grads(&a, &b, &w, |x, y| x.matmul(y));
-    assert_eq!(bits(&da), bits(&w.matmul(&b.transpose())));
-    assert_eq!(bits(&db), bits(&a.transpose().matmul(&w)));
+    let (batch, m, k) = (4, 6, 9);
+    for n in [5, 1, 4, 8, 12, 15, 17] {
+        let a = Array::randn(&[batch, m, k], &mut rng);
+        let b = Array::randn(&[batch, k, n], &mut rng);
+        let w = Array::randn(&[batch, m, n], &mut rng);
+        let [_, da, db] = grads(&a, &b, &w, |x, y| x.matmul(y));
+        assert_eq!(bits(&da), bits(&w.matmul(&b.transpose())), "(3,3) n = {n}");
+        assert_eq!(bits(&db), bits(&a.transpose().matmul(&w)), "(3,3) n = {n}");
+
+        let a2 = Array::randn(&[m, k], &mut rng);
+        let b2 = Array::randn(&[k, n], &mut rng);
+        let w2 = Array::randn(&[m, n], &mut rng);
+        let [_, da, db] = grads(&a2, &b2, &w2, |x, y| x.matmul(y));
+        assert_eq!(
+            bits(&da),
+            bits(&w2.matmul(&b2.transpose())),
+            "(2,2) n = {n}"
+        );
+        assert_eq!(
+            bits(&db),
+            bits(&a2.transpose().matmul(&w2)),
+            "(2,2) n = {n}"
+        );
+
+        let [_, da, db] = grads(&a, &b2, &w, |x, y| x.matmul(y));
+        assert_eq!(bits(&da), bits(&w.matmul(&b2.transpose())), "(3,2) n = {n}");
+        let db_pages = a.transpose().matmul(&w);
+        assert_eq!(
+            bits(&db),
+            bits(&db_pages.sum_axis(0, false)),
+            "(3,2) n = {n}"
+        );
+
+        let [_, da, db] = grads(&a2, &b, &w, |x, y| x.matmul(y));
+        let da_pages = w.matmul(&b.transpose());
+        assert_eq!(
+            bits(&da),
+            bits(&da_pages.sum_axis(0, false)),
+            "(2,3) n = {n}"
+        );
+        assert_eq!(bits(&db), bits(&a2.transpose().matmul(&w)), "(2,3) n = {n}");
+    }
 }
 
 #[test]

@@ -29,11 +29,12 @@ cargo test -q
 cargo test -q -p d2stgnn-graph -p d2stgnn-data -p d2stgnn-baselines -p d2stgnn-bench \
     -p d2stgnn-core -p d2stgnn-serve
 
-# Every other tensor stage runs with debug assertions and overflow checks on;
-# this one runs the suite (the layout walks' offset arithmetic, the
-# threads x SIMD determinism matrix) under the codegen perfbench ships.
-echo "==> tensor tests with release codegen"
-cargo test -q --release -p d2stgnn-tensor
+# Every other tensor, core and serve stage runs with debug assertions and
+# overflow checks on; this one runs those suites (the layout walks' offset
+# arithmetic, the threads x SIMD determinism matrix, the dense-vs-sparse
+# forecast compare, the serve paths) under the codegen perfbench ships.
+echo "==> tensor, core and serve tests with release codegen"
+cargo test -q --release -p d2stgnn-tensor -p d2stgnn-core -p d2stgnn-serve
 
 echo "==> xlint (workspace static analysis, ratcheted against xlint_report.json)"
 cargo test -q -p xlint
